@@ -1,9 +1,9 @@
 """Packaging for the VersaSlot reproduction.
 
-The core package is dependency-free; ``repro[fast]`` pulls in numpy for
-the vectorized workload-sampling backend (``repro.workloads.sampling``).
-Without the extra, every sampler transparently falls back to the
-pure-python backend and produces byte-identical samples — only slower.
+The package is dependency-free: every command runs on the standard
+library alone.  numpy and scipy are needed only by the optional
+``allocate_slots_milp`` reference formulation and by some test oracles;
+``repro[test]`` installs the test runner.
 """
 
 from setuptools import find_packages, setup
@@ -20,9 +20,6 @@ setup(
     python_requires=">=3.10",
     install_requires=[],
     extras_require={
-        # Vectorized workload generation; optional because the python
-        # backend is sample-identical (see tests/test_sampling.py).
-        "fast": ["numpy"],
         "test": ["pytest", "hypothesis"],
     },
 )

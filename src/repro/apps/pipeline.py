@@ -12,51 +12,73 @@ Nimblock/DML (and hence Algorithm 1's ``O_Ai``) optimizes.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
-
-import networkx as nx
+import heapq
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .application import ApplicationSpec, TaskSpec, pipelined_exec_time
 
 
 class TaskGraph:
-    """A DAG of task dependencies for one application."""
+    """A DAG of task dependencies for one application.
+
+    Adjacency, the DAG check and the topological order are all computed
+    once at construction; duplicate edges collapse.
+    """
 
     def __init__(self, app: ApplicationSpec, edges: Iterable[Tuple[int, int]] = ()) -> None:
         self.app = app
-        self.graph = nx.DiGraph()
-        self.graph.add_nodes_from(range(app.task_count))
+        n = app.task_count
         edge_list = list(edges)
         if not edge_list:
-            edge_list = [(i, i + 1) for i in range(app.task_count - 1)]
+            edge_list = [(i, i + 1) for i in range(n - 1)]
         for src, dst in edge_list:
-            if not (0 <= src < app.task_count and 0 <= dst < app.task_count):
+            if not (0 <= src < n and 0 <= dst < n):
                 raise ValueError(f"edge ({src}, {dst}) references a missing task")
-            self.graph.add_edge(src, dst)
-        if not nx.is_directed_acyclic_graph(self.graph):
+        #: The distinct dependency edges ``(src, dst)``.
+        self.edges: FrozenSet[Tuple[int, int]] = frozenset(
+            (src, dst) for src, dst in edge_list
+        )
+        successors: List[List[int]] = [[] for _ in range(n)]
+        self._predecessors: Dict[int, List[int]] = {node: [] for node in range(n)}
+        for src, dst in sorted(self.edges):
+            successors[src].append(dst)
+            self._predecessors[dst].append(src)
+        # Kahn's algorithm with a min-heap of ready tasks: the smallest
+        # ready index always goes next (lexicographic order), and tasks
+        # left unordered sit on a cycle.
+        indegree = [len(self._predecessors[node]) for node in range(n)]
+        ready = [node for node in range(n) if not indegree[node]]
+        order: List[int] = []
+        while ready:
+            node = heapq.heappop(ready)
+            order.append(node)
+            for child in successors[node]:
+                indegree[child] -= 1
+                if not indegree[child]:
+                    heapq.heappush(ready, child)
+        if len(order) < n:
             raise ValueError(f"task graph of {app.name!r} contains a cycle")
+        self._order = order
 
     @property
     def is_linear_chain(self) -> bool:
         """True for the paper's default linear pipeline."""
         expected = {(i, i + 1) for i in range(self.app.task_count - 1)}
-        return set(self.graph.edges) == expected
+        return self.edges == expected
 
     def predecessors(self, task_index: int) -> List[int]:
         """Tasks whose per-item output task ``task_index`` consumes."""
-        return sorted(self.graph.predecessors(task_index))
+        return list(self._predecessors[task_index])
 
     def topological_order(self) -> List[int]:
-        """A deterministic topological ordering of the tasks."""
-        return list(nx.lexicographical_topological_sort(self.graph))
+        """The lexicographically smallest topological ordering of the tasks."""
+        return list(self._order)
 
     def critical_path_ms(self, batch_size: int = 1) -> float:
         """Latency lower bound: longest path weighted by task latencies."""
-        order = self.topological_order()
         finish: Dict[int, float] = {}
-        for node in order:
-            preds = self.predecessors(node)
-            start = max((finish[p] for p in preds), default=0.0)
+        for node in self._order:
+            start = max((finish[p] for p in self._predecessors[node]), default=0.0)
             finish[node] = start + self.app.tasks[node].exec_time_ms * batch_size
         return max(finish.values())
 

@@ -14,8 +14,6 @@ cells, :class:`ProcessBackend` must return bit-identical records.
 
 from __future__ import annotations
 
-import concurrent.futures
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -455,6 +453,10 @@ class ProcessBackend:
         workers: int,
     ) -> Tuple[Dict[int, RunRecord], Dict[int, str]]:
         """One pool generation: records collected and failures to retry."""
+        # Imported here so serial runs never load the pool machinery.
+        import concurrent.futures
+        from concurrent.futures.process import BrokenProcessPool
+
         indices = list(indices)
         records: Dict[int, RunRecord] = {}
         failures: Dict[int, str] = {}

@@ -31,34 +31,11 @@ from pathlib import Path
 from typing import List, Optional
 
 from .bench import add_bench_arguments, run_bench_command
-from .campaign import (
-    CampaignRunner,
-    ResultsStore,
-    get_scenario,
-    scenario_names,
-)
 from .store import DEFAULT_SNAPSHOT_EVERY
-from .experiments import (
-    PAPER_SWITCH_OVERHEAD_MS,
-    Fig5Result,
-    fig6_from_records,
-    run_fig5,
-    run_fig6,
-    run_fig7,
-    run_fig8,
-)
-from .fleet import Fleet, fleet_scenario_names, get_fleet_scenario, policy_names
-from .experiments.runner import SYSTEMS
-from .metrics.plots import bar_chart, trace_plot
-from .metrics.report import format_table, summarize_records
-from .telemetry import (
-    EVENT_TYPES,
-    sniff_event_log,
-    summarize_event_log,
-)
-from .verify.cli import add_verify_arguments, run_verify_command
-from .verify.fuzz import parse_repro_payload, replay_case, sniff_repro_file
 
+# The parser needs only the two imports above.  Every other subsystem is
+# imported inside the handler of the command that uses it, so a short
+# command pays at startup only for its own modules.
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -247,7 +224,53 @@ def build_parser() -> argparse.ArgumentParser:
         help="differential oracle: run scenarios on the reference and the "
              "optimized kernel and demand bit-identical outcomes",
     )
-    add_verify_arguments(verify)
+    verify.add_argument(
+        "--fuzz", type=int, default=None, metavar="N",
+        help="fuzz N sampled cases instead of sweeping a scenario's cells",
+    )
+    verify.add_argument(
+        "--chaos", action="store_true",
+        help="fault-aware fuzzing: sample only fleet deployments and "
+             "inject a deterministic fault schedule (shard kills, drains, "
+             "degradation, latency skew) into every case",
+    )
+    verify.add_argument(
+        "--seed", type=int, default=0,
+        help="root seed of the fuzz sampler (default: 0)",
+    )
+    verify.add_argument(
+        "--scenario", default=None, metavar="NAME",
+        help="registered scenario to sweep (default: smoke), or to restrict "
+             "fuzzing to",
+    )
+    verify.add_argument(
+        "--system", action="append", default=None, metavar="NAME",
+        help="restrict checking to this system (repeatable)",
+    )
+    verify.add_argument(
+        "--repro-dir", default="results/repros", metavar="DIR",
+        help="directory failing cases are persisted under "
+             "(default: results/repros)",
+    )
+    verify.add_argument(
+        "--max-shrink", type=int, default=48, metavar="N",
+        help="oracle-run budget for shrinking one failing case (default: 48)",
+    )
+    verify.add_argument(
+        "--keep-going", action="store_true",
+        help="check every case even after a failure (default: stop at first)",
+    )
+    verify.add_argument(
+        "--kernel", action="append", default=None, metavar="NAME",
+        help="candidate kernel to diff against the reference (repeatable; "
+             "default: wheel and optimized)",
+    )
+    verify.add_argument(
+        "--store", default=None, metavar="PATH",
+        help="audit a durable event store instead of sweeping: check "
+             "notification-log shape, snapshot consistency, and that every "
+             "persisted incremental projection equals a full rebuild",
+    )
 
     bench = sub.add_parser(
         "bench",
@@ -310,6 +333,9 @@ def _default_out(scenario_name: str, args: argparse.Namespace) -> str:
 def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.campaign_command == "replay":
         return _cmd_replay(args)
+    from .campaign import CampaignRunner, get_scenario, scenario_names
+    from .metrics.report import summarize_records
+
     if args.campaign_command == "list":
         if args.json:
             entries = []
@@ -375,6 +401,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
+    from .fleet import Fleet, fleet_scenario_names, get_fleet_scenario, policy_names
+
     if args.fleet_command == "list":
         if args.json:
             entries = []
@@ -444,6 +472,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_telemetry(args: argparse.Namespace) -> int:
+    from .metrics.report import format_table
+    from .telemetry import EVENT_TYPES, summarize_event_log
+
     if args.telemetry_command == "schema":
         if args.json:
             print(json.dumps(
@@ -494,6 +525,7 @@ def _load_replay_records(path: str):
     sniffing; a dropped (truncated) line in a JSONL file is surfaced in
     the count rather than hidden behind a warning.
     """
+    from .campaign import ResultsStore
     from .store import is_sqlite_path, open_store
 
     if is_sqlite_path(path):
@@ -512,10 +544,12 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     # their failures are input problems (missing/malformed file, records
     # that don't form the figure).  Exit codes: 0 clean, 1 empty/failed
     # replay, 2 operator error, 3 rendered but with dropped line(s).
+    from .store import is_sqlite_path
+    from .telemetry import sniff_event_log
+    from .verify.fuzz import parse_repro_payload, replay_case, sniff_repro_file
+
     as_json = bool(getattr(args, "json", False))
     try:
-        from .store import is_sqlite_path
-
         if not is_sqlite_path(args.path):
             repro_payload = sniff_repro_file(args.path)
             if repro_payload is not None:
@@ -560,14 +594,20 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                     )
             return 3 if skipped else 1
         if figure == "fig5":
+            from .experiments import Fig5Result
+
             result = Fig5Result.from_records(records)
             rendered = result.table()
             payload["reductions"] = result.reductions
         elif figure == "fig6":
+            from .experiments import fig6_from_records
+
             result = fig6_from_records(records)
             rendered = result.table()
             payload["relative_tails"] = result.relative_tails
         else:
+            from .metrics.report import summarize_records
+
             rendered = summarize_records(records)
         if as_json:
             payload["rendered"] = rendered
@@ -585,11 +625,13 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
-    from .store import default_projections, open_store
-    from .verify.cli import _run_store_audit
-
     if args.store_command == "verify":
+        from .verify.cli import _run_store_audit
+
         return _run_store_audit(args.path)
+    from .metrics.report import format_table
+    from .store import default_projections, open_store
+
     try:
         if args.store_command == "inspect":
             if not Path(args.path).exists():
@@ -687,6 +729,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "list":
+        from .experiments.runner import SYSTEMS
+
         for name, (cls, config) in SYSTEMS.items():
             print(f"{name:<14s} {cls.__name__:<22s} board={config.value}")
         return 0
@@ -699,12 +743,16 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "telemetry":
         return _cmd_telemetry(args)
     if args.command == "verify":
+        from .verify.cli import run_verify_command
+
         return run_verify_command(args)
     if args.command == "bench":
         return run_bench_command(args)
     if args.command == "replay":
         return _cmd_replay(args)
     if args.command == "fig5":
+        from .experiments import run_fig5
+
         result = run_fig5(
             seed=args.seed, sequence_count=args.sequences, n_apps=args.apps,
             jobs=args.jobs, store=args.out,
@@ -712,15 +760,23 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(result.table())
         return 0
     if args.command == "fig6":
+        from .experiments import run_fig6
+
         print(run_fig6(
             seed=args.seed, sequence_count=args.sequences,
             jobs=args.jobs, store=args.out,
         ).table())
         return 0
     if args.command == "fig7":
+        from .experiments import run_fig7
+
         print(run_fig7().table())
         return 0
     if args.command == "fig8":
+        from .campaign import ResultsStore
+        from .experiments import PAPER_SWITCH_OVERHEAD_MS, run_fig8
+        from .metrics.plots import bar_chart, trace_plot
+
         result = run_fig8(
             seed=args.seed, n_apps=args.apps, jobs=args.jobs,
             store=ResultsStore(args.out) if args.out else None,

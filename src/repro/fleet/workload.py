@@ -24,11 +24,9 @@ representable in the verify fuzzer's flat repro files.
 
 Generation is *phased*: all application names are drawn first, then all
 batch sizes, then all inter-arrival gaps — each phase one contiguous block
-of same-type draws from the stream.  That structure lets
-:class:`~repro.workloads.sampling.BatchSampler` vectorize every phase with
-numpy while its pure-python fallback consumes the identical draws, so the
-two backends are sample-identical by construction (pinned in
-``tests/test_sampling.py``).
+of same-type draws, served by
+:class:`~repro.workloads.sampling.BatchSampler`.  The phase order is part
+of the stream's definition: reordering the phases changes every arrival.
 """
 
 from __future__ import annotations
@@ -95,19 +93,14 @@ class FleetWorkload:
     def app_names(self) -> List[str]:
         return list(self.apps) if self.apps else list(BENCHMARKS)
 
-    def arrivals(
-        self, seed: int, index: int = 0, backend: str = "auto"
-    ) -> List[Arrival]:
+    def arrivals(self, seed: int, index: int = 0) -> List[Arrival]:
         """The global arrival stream under ``(seed, index)``.
 
-        Drawn in three phases (names, batch sizes, gaps) so the numpy
-        backend vectorizes whole blocks; ``backend`` is passed through to
-        :class:`BatchSampler` (``"auto"``/``"numpy"``/``"python"`` — all
-        sample-identical).
+        Drawn in three block phases: names, batch sizes, gaps.
         """
         if self.kind == "multi-tenant":
-            return self._multi_tenant(seed, index, backend)
-        sampler = BatchSampler(f"fleet/{self.kind}/{seed}/{index}", backend)
+            return self._multi_tenant(seed, index)
+        sampler = BatchSampler(f"fleet/{self.kind}/{seed}/{index}")
         names = self.app_names()
         n = self.n_apps
         lo_batch, hi_batch = self.batch_range
@@ -154,9 +147,7 @@ class FleetWorkload:
             for i in range(n)
         ]
 
-    def _multi_tenant(
-        self, seed: int, index: int, backend: str = "auto"
-    ) -> List[Arrival]:
+    def _multi_tenant(self, seed: int, index: int) -> List[Arrival]:
         """Independent per-tenant phased streams merged by arrival time."""
         names = self.app_names()
         lo_batch, hi_batch = self.batch_range
@@ -170,9 +161,7 @@ class FleetWorkload:
             remaining -= count
             if count <= 0:
                 continue
-            sampler = BatchSampler(
-                f"fleet/multi-tenant/{seed}/{index}/{label}", backend
-            )
+            sampler = BatchSampler(f"fleet/multi-tenant/{seed}/{index}/{label}")
             interval_lo, interval_hi = condition.interval_range
             name_indices = sampler.choice_indices(len(names), count)
             batch_sizes = sampler.randint_block(lo_batch, hi_batch, count)

@@ -5,13 +5,12 @@ reports *relative response-time reduction* (baseline mean over system
 mean, higher is better) and *relative tail latency* (system percentile
 over baseline percentile, lower is better).
 
-numpy is optional here (the core package must import without the
-``repro[fast]`` extra).  The pure-python fallbacks are not approximations:
-``_pairwise_sum`` replicates numpy's pairwise summation (8-way unrolled
-blocks of 128, halved recursion above) and ``_percentile_linear``
-replicates ``np.percentile``'s linear-interpolation ``_lerp``, so means
-and percentiles are **bit-identical** with and without numpy — the fig5
-golden pins exact equality and the no-numpy CI job runs the same golden.
+Means and percentiles are computed in pure python, bit-identical to
+numpy: ``_pairwise_sum`` replicates numpy's pairwise summation (8-way
+unrolled blocks of 128, halved recursion above) and ``_percentile_linear``
+replicates ``np.percentile``'s linear-interpolation ``_lerp``.  The fig5
+golden pins the exact floats, and ``tests/test_workloads_metrics.py``
+checks both helpers against numpy itself when it is installed.
 """
 
 from __future__ import annotations
@@ -19,11 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None
 
 #: numpy's pairwise-summation block size (PW_BLOCKSIZE).
 _PW_BLOCKSIZE = 128
@@ -68,8 +62,6 @@ def _pairwise_sum(values: Sequence[float], start: int, n: int) -> float:
 
 def _mean(values: Sequence[float]) -> float:
     """``float(np.mean(values))``, numpy-free but bit-identical."""
-    if np is not None:
-        return float(np.mean(values))
     values = [float(v) for v in values]
     return _pairwise_sum(values, 0, len(values)) / len(values)
 
@@ -82,8 +74,6 @@ def _percentile_linear(values: Sequence[float], q: float) -> float:
     order statistics with ``a + t*(b-a)`` — switching to ``b - (b-a)*(1-t)``
     when ``t >= 0.5`` (the symmetric form it uses to cut rounding error).
     """
-    if np is not None:
-        return float(np.percentile(values, q))
     data = sorted(float(v) for v in values)
     n = len(data)
     virtual = (q / 100.0) * (n - 1)
@@ -109,20 +99,11 @@ class ResponseStats:
         values = values if isinstance(values, list) else list(values)
         if not values:
             return
-        if np is not None:
-            arr = np.asarray(values, dtype=float)
-            if arr.ndim != 1:
-                raise ValueError(f"expected a flat sample sequence, got shape {arr.shape}")
-            negative = np.where(arr < 0)[0]
-            if negative.size:
-                value = values[int(negative[0])]
+        for value in values:
+            if isinstance(value, (list, tuple)):
+                raise ValueError("expected a flat sample sequence")
+            if float(value) < 0:
                 raise ValueError(f"negative response time {value}")
-        else:
-            for value in values:
-                if isinstance(value, (list, tuple)):
-                    raise ValueError("expected a flat sample sequence")
-                if float(value) < 0:
-                    raise ValueError(f"negative response time {value}")
         self.samples_ms.extend(values)
 
     @property

@@ -141,14 +141,14 @@ def allocate_slots_milp(
         )
     # numpy/scipy are needed only by this reference formulation, never by
     # the runtime exact search above — import lazily so the core package
-    # stays dependency-free without the repro[fast] extra.
+    # stays dependency-free.
     try:
         import numpy as np
         from scipy.optimize import Bounds, LinearConstraint, milp
-    except ImportError as exc:  # pragma: no cover - exercised by no-numpy CI
+    except ImportError as exc:  # pragma: no cover - exercised by clean-install CI
         raise RuntimeError(
             "allocate_slots_milp requires numpy and scipy "
-            "(pip install repro[fast] scipy)"
+            "(pip install numpy scipy)"
         ) from exc
     options: List[List[int]] = []
     costs: List[float] = []

@@ -39,56 +39,6 @@ from .reference import KERNELS
 DEFAULT_KERNELS = ("wheel", "optimized")
 
 
-def add_verify_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--fuzz", type=int, default=None, metavar="N",
-        help="fuzz N sampled cases instead of sweeping a scenario's cells",
-    )
-    parser.add_argument(
-        "--chaos", action="store_true",
-        help="fault-aware fuzzing: sample only fleet deployments and "
-             "inject a deterministic fault schedule (shard kills, drains, "
-             "degradation, latency skew) into every case",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0,
-        help="root seed of the fuzz sampler (default: 0)",
-    )
-    parser.add_argument(
-        "--scenario", default=None, metavar="NAME",
-        help="registered scenario to sweep (default: smoke), or to restrict "
-             "fuzzing to",
-    )
-    parser.add_argument(
-        "--system", action="append", default=None, metavar="NAME",
-        help="restrict checking to this system (repeatable)",
-    )
-    parser.add_argument(
-        "--repro-dir", default="results/repros", metavar="DIR",
-        help="directory failing cases are persisted under "
-             "(default: results/repros)",
-    )
-    parser.add_argument(
-        "--max-shrink", type=int, default=48, metavar="N",
-        help="oracle-run budget for shrinking one failing case (default: 48)",
-    )
-    parser.add_argument(
-        "--keep-going", action="store_true",
-        help="check every case even after a failure (default: stop at first)",
-    )
-    parser.add_argument(
-        "--kernel", action="append", default=None, metavar="NAME",
-        help="candidate kernel to diff against the reference (repeatable; "
-             f"default: {' and '.join(DEFAULT_KERNELS)})",
-    )
-    parser.add_argument(
-        "--store", default=None, metavar="PATH",
-        help="audit a durable event store instead of sweeping: check "
-             "notification-log shape, snapshot consistency, and that every "
-             "persisted incremental projection equals a full rebuild",
-    )
-
-
 def _check_case(oracle: DifferentialOracle, case: FuzzCase) -> DivergenceReport:
     report = oracle.check(case.system, case.arrivals(), case.params())
     # Faulted fleet cases additionally audit the serving plan: losing a

@@ -1,40 +1,15 @@
-"""Batched RNG sampling, bit-identical to ``random.Random`` streams.
+"""Block-at-a-time RNG sampling over string-seeded ``random.Random`` streams.
 
-Workload generation draws arrival names, batch sizes and inter-arrival
-gaps from string-seeded ``random.Random`` streams.  :class:`BatchSampler`
-reproduces those *exact* streams a block at a time, through one of two
-backends:
-
-* **python** — a scalar loop over the underlying ``random.Random``; by
-  construction sample-identical to hand-written scalar code.
-* **numpy** — the same Mersenne-Twister word stream generated in bulk via
-  ``numpy.random.MT19937`` and transformed vectorized.  Equivalence rests
-  on four facts (each pinned by ``tests/test_sampling.py``):
-
-  1. CPython seeds ``random.Random(str_seed)`` by ``init_by_array`` over
-     the little-endian 32-bit words of
-     ``int.from_bytes(seed_bytes + sha512(seed_bytes).digest(), "big")``;
-     numpy's legacy seeding runs the identical ``init_by_array`` for
-     multi-word keys (string seeds always produce ≥ 16 words — the
-     single-word path differs, so integer seeds are rejected here).
-  2. ``MT19937.random_raw(n)`` emits the same 32-bit word stream as
-     repeated ``getrandbits(32)``.
-  3. ``random()`` folds two words as
-     ``((a >> 5) * 2**26 + (b >> 6)) / 2**53`` — exact in float64.
-  4. ``_randbelow(n)`` takes ``k = n.bit_length()`` top bits of one word
-     and rejects values ``>= n``; rejection is per-word in stream order,
-     so a vectorized mask-and-take over a word block accepts exactly the
-     draws the scalar loop would.  Unconsumed words return to an internal
-     buffer, keeping the stream position word-exact across blocks.
-
-The numpy import is lazy and guarded: without numpy installed (the
-``repro[fast]`` extra), every sampler silently runs the python backend
-and produces byte-identical samples — only slower.
+Fleet workload generation draws arrival names, batch sizes and
+inter-arrival gaps as contiguous blocks of same-type draws.
+:class:`BatchSampler` serves those blocks from one ``random.Random``
+stream, and every block method consumes exactly the draws the equivalent
+scalar calls would, so a block of ``n`` is draw-for-draw identical to
+``n`` scalar calls (pinned by ``tests/test_sampling.py``).
 
 The one stream this module must *not* replace is
 :meth:`WorkloadGenerator.sequence`, whose interleaved per-arrival draw
-order is pinned by the PR-2 goldens; fleet streams (restructured into
-phased blocks in PR 6) are the vectorization target.
+order is pinned by the goldens.
 """
 
 from __future__ import annotations
@@ -42,166 +17,40 @@ from __future__ import annotations
 import random
 from typing import List, Sequence
 
-#: Sentinel distinguishing "never tried" from "tried and missing".
-_UNSET = object()
-_numpy_module = _UNSET
-
-
-def numpy_or_none():
-    """The ``numpy`` module, or None when the extra is not installed.
-
-    Imported lazily on first call so that merely importing the workloads
-    package never pays for (or requires) numpy.
-    """
-    global _numpy_module
-    if _numpy_module is _UNSET:
-        try:
-            import numpy
-        except ImportError:
-            numpy = None
-        _numpy_module = numpy
-    return _numpy_module
-
-
-def _seed_key_words(seed: str) -> List[int]:
-    """CPython's ``random.Random(str)`` init_by_array key, LSW first."""
-    import hashlib
-
-    data = seed.encode()
-    value = int.from_bytes(data + hashlib.sha512(data).digest(), "big")
-    words = []
-    while value:
-        words.append(value & 0xFFFFFFFF)
-        value >>= 32
-    return words or [0]
-
 
 class BatchSampler:
     """Block-at-a-time sampling from one string-seeded MT19937 stream.
 
     Draw methods must be called in the same order (and with the same
     counts) as the scalar code they replace; each consumes exactly the
-    words the equivalent ``random.Random`` calls would.  ``backend`` is
-    ``"auto"`` (numpy when available), ``"numpy"`` (raises without it) or
-    ``"python"``.
+    draws the equivalent ``random.Random`` calls would.
     """
 
-    def __init__(self, seed: str, backend: str = "auto") -> None:
+    def __init__(self, seed: str) -> None:
         if not isinstance(seed, str):
-            # Integer seeds take CPython's single-word seeding path, which
-            # numpy's legacy seeding does not replicate.
+            # Streams are named by namespaced strings
+            # ("fleet/<kind>/<seed>/<index>"); a bare integer would bypass
+            # the namespace and alias some other seeded stream.
             raise TypeError(f"BatchSampler requires a string seed, got {seed!r}")
-        if backend not in ("auto", "numpy", "python"):
-            raise ValueError(f"unknown sampler backend {backend!r}")
-        np = numpy_or_none() if backend in ("auto", "numpy") else None
-        if backend == "numpy" and np is None:
-            raise RuntimeError(
-                "numpy backend requested but numpy is not installed "
-                "(pip install repro[fast])"
-            )
         self.seed = seed
-        self._np = np
-        if np is not None:
-            self.backend = "numpy"
-            key = np.array(_seed_key_words(seed), dtype=np.uint32)
-            bitgen = np.random.MT19937()
-            bitgen._legacy_seeding(key)
-            self._bitgen = bitgen
-            #: Raw words drawn but not yet consumed (uint64, FIFO order).
-            self._buffer = np.empty(0, dtype=np.uint64)
-        else:
-            self.backend = "python"
-            self._rng = random.Random(seed)
+        self._rng = random.Random(seed)
 
-    # ------------------------------------------------------------------
-    # numpy word plumbing
-    # ------------------------------------------------------------------
-    def _take_words(self, n: int):
-        """Exactly the next ``n`` raw 32-bit MT words, via the buffer."""
-        np = self._np
-        buffer = self._buffer
-        if len(buffer) >= n:
-            self._buffer = buffer[n:]
-            return buffer[:n]
-        fresh = self._bitgen.random_raw(n - len(buffer))
-        self._buffer = np.empty(0, dtype=np.uint64)
-        if len(buffer):
-            return np.concatenate((buffer, fresh))
-        return fresh
-
-    def _unread_words(self, words) -> None:
-        """Return unconsumed words to the front of the stream."""
-        np = self._np
-        if len(self._buffer):
-            self._buffer = np.concatenate((words, self._buffer))
-        else:
-            self._buffer = words
-
-    # ------------------------------------------------------------------
-    # Block draws (mirror random.Random word consumption exactly)
-    # ------------------------------------------------------------------
     def random_block(self, n: int) -> List[float]:
-        """``n`` draws of ``rng.random()`` (two words each)."""
-        if n <= 0:
-            return []
-        if self._np is None:
-            rng_random = self._rng.random
-            return [rng_random() for _ in range(n)]
-        np = self._np
-        words = self._take_words(2 * n)
-        a = (words[0::2] >> np.uint64(5)).astype(np.float64)
-        b = (words[1::2] >> np.uint64(6)).astype(np.float64)
-        return ((a * 67108864.0 + b) / 9007199254740992.0).tolist()
+        """``n`` draws of ``rng.random()``."""
+        rng_random = self._rng.random
+        return [rng_random() for _ in range(n)]
 
     def uniform_block(self, lo: float, hi: float, n: int) -> List[float]:
         """``n`` draws of ``rng.uniform(lo, hi)``."""
-        if n <= 0:
-            return []
-        if self._np is None:
-            rng_uniform = self._rng.uniform
-            return [rng_uniform(lo, hi) for _ in range(n)]
-        # CPython computes lo + (hi - lo) * random() per element; the
-        # identical grouping in the vector expression keeps every ULP.
-        np = self._np
-        words = self._take_words(2 * n)
-        a = (words[0::2] >> np.uint64(5)).astype(np.float64)
-        b = (words[1::2] >> np.uint64(6)).astype(np.float64)
-        r = (a * 67108864.0 + b) / 9007199254740992.0
-        return (lo + (hi - lo) * r).tolist()
+        rng_uniform = self._rng.uniform
+        return [rng_uniform(lo, hi) for _ in range(n)]
 
     def randbelow_block(self, bound: int, n: int) -> List[int]:
         """``n`` draws of ``rng._randbelow(bound)`` (rejection-exact)."""
         if bound <= 0:
             raise ValueError(f"bound must be positive, got {bound}")
-        if n <= 0:
-            return []
-        if self._np is None:
-            randbelow = self._rng._randbelow
-            return [randbelow(bound) for _ in range(n)]
-        np = self._np
-        shift = np.uint64(32 - bound.bit_length())
-        out: List[int] = []
-        need = n
-        while need > 0:
-            # Worst-case acceptance is just above 1/2 (bound barely past a
-            # power of two); oversample so one round usually suffices.
-            chunk = self._take_words(max(2 * need, 16))
-            candidates = chunk >> shift
-            mask = candidates < bound
-            accepted = candidates[mask]
-            if len(accepted) >= need:
-                # Words past the need-th acceptance belong to future
-                # draws: find how many raw words the scalar loop would
-                # have consumed and put the rest back.
-                consumed = int(np.searchsorted(
-                    np.cumsum(mask), need, side="left"
-                )) + 1
-                self._unread_words(chunk[consumed:])
-                out.extend(accepted[:need].tolist())
-                return out
-            out.extend(accepted.tolist())
-            need -= len(accepted)
-        return out
+        randbelow = self._rng._randbelow
+        return [randbelow(bound) for _ in range(n)]
 
     def randint_block(self, lo: int, hi: int, n: int) -> List[int]:
         """``n`` draws of ``rng.randint(lo, hi)``."""
@@ -213,33 +62,11 @@ class BatchSampler:
 
     def weighted_indices(self, weights: Sequence[float], n: int) -> List[int]:
         """``n`` draws matching ``rng.choices(range(len(w)), weights=w)``."""
-        if n <= 0:
-            return []
-        if self._np is None:
-            rng_choices = self._rng.choices
-            population = range(len(weights))
-            return [rng_choices(population, weights=weights)[0] for _ in range(n)]
-        # CPython accumulates cum_weights in python floats and bisects
-        # random() * total with hi = len - 1; replicate both exactly.
-        from itertools import accumulate
-
-        np = self._np
-        cum = list(accumulate(weights))
-        total = cum[-1] + 0.0
-        r = np.array(self.random_block(n), dtype=np.float64)
-        idx = np.searchsorted(np.array(cum, dtype=np.float64), r * total, side="right")
-        hi = len(weights) - 1
-        return [int(v) if v < hi else hi for v in idx]
+        # One k=n call draws exactly like n k=1 calls: both bisect
+        # random() * total over the same cumulative weights.
+        return self._rng.choices(range(len(weights)), weights=weights, k=n)
 
     def pareto_block(self, alpha: float, n: int) -> List[float]:
         """``n`` draws of ``rng.paretovariate(alpha)``."""
-        if n <= 0:
-            return []
-        if self._np is None:
-            pareto = self._rng.paretovariate
-            return [pareto(alpha) for _ in range(n)]
-        # numpy's vectorized ** can differ from CPython pow by one ULP on
-        # some inputs; the power is applied per element in python floats
-        # (the expensive part — word generation — stays vectorized).
-        exponent = -1.0 / alpha
-        return [(1.0 - u) ** exponent for u in self.random_block(n)]
+        pareto = self._rng.paretovariate
+        return [pareto(alpha) for _ in range(n)]

@@ -1,55 +1,50 @@
 """Sample-identity of the batched RNG layer.
 
-The vectorized workload path is only admissible because every
+Fleet streams are drawn in blocks, which is only admissible because every
 :class:`BatchSampler` block reproduces the exact ``random.Random`` draw
-stream.  These tests pin that equivalence per primitive (including the
-word-buffer bookkeeping around rejection sampling), prove the fleet
-generators backend-invariant, and check the numpy guard rails.
+stream.  These tests pin that equivalence per primitive (including
+rejection sampling and block boundaries) and check the guard rails.
 """
 
 import random
 
 import pytest
 
-from repro.fleet import FleetWorkload
-from repro.fleet.workload import FLEET_WORKLOAD_KINDS
-from repro.workloads import Condition
-from repro.workloads.sampling import BatchSampler, _seed_key_words, numpy_or_none
-
-HAS_NUMPY = numpy_or_none() is not None
-
-needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
+from repro.workloads.sampling import BatchSampler
 
 SEED = "fleet/bursty/7/0"
+
+#: The scalar streams every block must reproduce, keyed by test id.
+REFERENCES = {"python": random.Random}
 
 
 # ----------------------------------------------------------------------
 # Per-primitive equivalence against random.Random
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
-    "backend", ["python"] + (["numpy"] if HAS_NUMPY else [])
+    "reference", list(REFERENCES.values()), ids=list(REFERENCES)
 )
 class TestPrimitiveIdentity:
-    def test_random_and_uniform(self, backend):
-        sampler = BatchSampler(SEED, backend=backend)
-        rng = random.Random(SEED)
+    def test_random_and_uniform(self, reference):
+        sampler = BatchSampler(SEED)
+        rng = reference(SEED)
         assert sampler.random_block(64) == [rng.random() for _ in range(64)]
         assert sampler.uniform_block(2.5, 9.0, 64) == [
             rng.uniform(2.5, 9.0) for _ in range(64)
         ]
 
     @pytest.mark.parametrize("bound", [1, 2, 7, 23, 33, 64, 1000])
-    def test_randbelow_rejection_exact(self, backend, bound):
+    def test_randbelow_rejection_exact(self, reference, bound):
         """Bounds just past powers of two maximize rejection pressure."""
-        sampler = BatchSampler(SEED, backend=backend)
-        rng = random.Random(SEED)
+        sampler = BatchSampler(SEED)
+        rng = reference(SEED)
         assert sampler.randbelow_block(bound, 300) == [
             rng._randbelow(bound) for _ in range(300)
         ]
 
-    def test_randint_and_choice(self, backend):
-        sampler = BatchSampler(SEED, backend=backend)
-        rng = random.Random(SEED)
+    def test_randint_and_choice(self, reference):
+        sampler = BatchSampler(SEED)
+        rng = reference(SEED)
         assert sampler.randint_block(5, 30, 200) == [
             rng.randint(5, 30) for _ in range(200)
         ]
@@ -58,27 +53,27 @@ class TestPrimitiveIdentity:
             rng.choice(options) for _ in range(200)
         ]
 
-    def test_weighted_indices(self, backend):
+    def test_weighted_indices(self, reference):
         weights = [1.0 / (rank + 1) ** 1.4 for rank in range(23)]
-        sampler = BatchSampler(SEED, backend=backend)
-        rng = random.Random(SEED)
+        sampler = BatchSampler(SEED)
+        rng = reference(SEED)
         population = list(range(23))
         assert sampler.weighted_indices(weights, 300) == [
             rng.choices(population, weights=weights)[0] for _ in range(300)
         ]
 
-    def test_pareto(self, backend):
-        sampler = BatchSampler(SEED, backend=backend)
-        rng = random.Random(SEED)
+    def test_pareto(self, reference):
+        sampler = BatchSampler(SEED)
+        rng = reference(SEED)
         assert sampler.pareto_block(1.6, 300) == [
             rng.paretovariate(1.6) for _ in range(300)
         ]
 
-    def test_interleaved_blocks_share_one_stream(self, backend):
+    def test_interleaved_blocks_share_one_stream(self, reference):
         """Block boundaries (and rejection leftovers in the word buffer)
         never shift the stream position."""
-        sampler = BatchSampler(SEED, backend=backend)
-        rng = random.Random(SEED)
+        sampler = BatchSampler(SEED)
+        rng = reference(SEED)
         assert sampler.random_block(3) == [rng.random() for _ in range(3)]
         assert sampler.randbelow_block(33, 50) == [
             rng._randbelow(33) for _ in range(50)
@@ -89,30 +84,14 @@ class TestPrimitiveIdentity:
         assert sampler.randbelow_block(5, 1) == [rng._randbelow(5)]
         assert sampler.random_block(2) == [rng.random() for _ in range(2)]
 
-    def test_empty_blocks_consume_nothing(self, backend):
-        sampler = BatchSampler(SEED, backend=backend)
-        rng = random.Random(SEED)
+    def test_empty_blocks_consume_nothing(self, reference):
+        sampler = BatchSampler(SEED)
+        rng = reference(SEED)
         assert sampler.random_block(0) == []
         assert sampler.randbelow_block(7, 0) == []
         assert sampler.weighted_indices([1.0, 2.0], 0) == []
         assert sampler.pareto_block(1.6, 0) == []
         assert sampler.random_block(1) == [rng.random()]
-
-
-# ----------------------------------------------------------------------
-# Backend invariance of the fleet generators
-# ----------------------------------------------------------------------
-@needs_numpy
-class TestFleetBackendInvariance:
-    @pytest.mark.parametrize("kind", FLEET_WORKLOAD_KINDS)
-    @pytest.mark.parametrize("condition", [Condition.LOOSE, Condition.STRESS])
-    def test_arrivals_identical_across_backends(self, kind, condition):
-        workload = FleetWorkload(kind=kind, condition=condition, n_apps=48)
-        for seed in (1, 7):
-            fast = workload.arrivals(seed, backend="numpy")
-            slow = workload.arrivals(seed, backend="python")
-            auto = workload.arrivals(seed)
-            assert fast == slow == auto
 
 
 # ----------------------------------------------------------------------
@@ -123,32 +102,6 @@ class TestGuards:
         with pytest.raises(TypeError, match="string seed"):
             BatchSampler(42)
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown sampler backend"):
-            BatchSampler(SEED, backend="cuda")
-
     def test_bad_bound_rejected(self):
         with pytest.raises(ValueError, match="bound must be positive"):
-            BatchSampler(SEED, backend="python").randbelow_block(0, 3)
-
-    def test_numpy_backend_without_numpy_raises(self, monkeypatch):
-        import repro.workloads.sampling as sampling
-
-        monkeypatch.setattr(sampling, "_numpy_module", None)
-        with pytest.raises(RuntimeError, match="numpy is not installed"):
-            BatchSampler(SEED, backend="numpy")
-
-    def test_auto_without_numpy_falls_back(self, monkeypatch):
-        import repro.workloads.sampling as sampling
-
-        monkeypatch.setattr(sampling, "_numpy_module", None)
-        sampler = BatchSampler(SEED, backend="auto")
-        assert sampler.backend == "python"
-        rng = random.Random(SEED)
-        assert sampler.random_block(4) == [rng.random() for _ in range(4)]
-
-    def test_seed_key_words_shape(self):
-        words = _seed_key_words(SEED)
-        assert all(0 <= word <= 0xFFFFFFFF for word in words)
-        # seed bytes + a 64-byte sha512 digest always exceed 16 words
-        assert len(words) >= 16
+            BatchSampler(SEED).randbelow_block(0, 3)

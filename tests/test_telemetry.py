@@ -21,7 +21,7 @@ import pytest
 
 try:
     import numpy as np
-except ImportError:  # the no-numpy CI job: only the digest-accuracy
+except ImportError:  # the clean-install CI job: only the digest-accuracy
     np = None        # data generation below needs numpy
 
 needs_numpy = pytest.mark.skipif(np is None, reason="numpy not installed")

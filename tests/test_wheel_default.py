@@ -68,6 +68,16 @@ class TestDefaultVerifySweep:
         assert DEFAULT_KERNELS[0] == "wheel"
         assert "optimized" in DEFAULT_KERNELS
 
+    def test_kernel_help_names_the_defaults(self):
+        """The parser spells the defaults out so startup never imports
+        the verify package; this keeps the two in step."""
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        verify = parser._subparsers._group_actions[0].choices["verify"]
+        (kernel,) = [a for a in verify._actions if "--kernel" in a.option_strings]
+        assert f"default: {' and '.join(DEFAULT_KERNELS)})" in kernel.help
+
     def test_three_way_oracle_is_green_with_wheel_headline(self):
         arrivals = WorkloadGenerator(5).sequence(Condition.STANDARD, n_apps=4)
         oracle = DifferentialOracle(kernels=DEFAULT_KERNELS)

@@ -151,34 +151,23 @@ class TestResponseStats:
 
 
 class TestNumpyFreeParity:
-    """The pure-python mean/percentile fallbacks must be bit-identical
-    to numpy's (the fig5 golden pins exact floats and the no-numpy CI
-    job runs the same golden).  Sizes straddle numpy's pairwise-sum
-    regimes: plain loop (<8), 8-way unrolled block (<=128), recursive
-    halving (>128)."""
+    """The pure-python mean/percentile must be bit-identical to numpy's
+    (the fig5 golden pins exact floats; numpy is only the reference
+    here, never a runtime dependency).  Sizes straddle numpy's
+    pairwise-sum regimes: plain loop (<8), 8-way unrolled block (<=128),
+    recursive halving (>128)."""
 
-    def test_fallback_matches_numpy_bit_exact(self, monkeypatch):
+    def test_fallback_matches_numpy_bit_exact(self):
         np = pytest.importorskip("numpy")
         import random as random_module
 
-        import repro.metrics.response as response
-
         rng = random_module.Random("metrics-parity")
-        cases = []
         for n in (1, 2, 7, 8, 9, 100, 127, 128, 129, 300, 1000):
             values = [rng.uniform(0.0, 1e4) for _ in range(n)]
-            expected_mean = float(np.mean(values))
-            expected_pcts = {
-                q: float(np.percentile(values, q))
-                for q in (0.0, 37.5, 95.0, 99.0, 100.0)
-            }
-            cases.append((values, expected_mean, expected_pcts))
-        monkeypatch.setattr(response, "np", None)
-        for values, expected_mean, expected_pcts in cases:
             stats = ResponseStats(list(values))
-            assert stats.mean() == expected_mean
-            for q, expected in expected_pcts.items():
-                assert stats.percentile(q) == expected
+            assert stats.mean() == float(np.mean(values))
+            for q in (0.0, 37.5, 95.0, 99.0, 100.0):
+                assert stats.percentile(q) == float(np.percentile(values, q))
 
 
 class TestUtilizationMetrics:
