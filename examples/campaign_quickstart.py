@@ -5,8 +5,8 @@ Shows the three pieces of the campaign subsystem end-to-end:
 
 1. declare a custom :class:`Scenario` (registry-style, with parameter
    overrides) instead of hand-rolling simulation loops;
-2. execute its (system x sequence x seed) cells over the multiprocessing
-   backend with per-worker isolation;
+2. execute its (system x sequence x seed) cells over forked worker
+   processes with per-worker isolation;
 3. persist per-run records as JSONL and re-aggregate them without
    re-simulating.
 

@@ -91,8 +91,8 @@ class ApplicationSpec:
         # the bundling decision ask for these on the scheduling hot path.
         # (object.__setattr__ because the dataclass is frozen; positional
         # by bundle index — an id()-keyed cache goes stale the moment a
-        # spec crosses a pickle boundary into a multiprocessing worker,
-        # silently recomputing on every hot-path lookup.)
+        # spec crosses a pickle boundary into another process, silently
+        # recomputing on every hot-path lookup.)
         object.__setattr__(self, "_bundle_times", tuple(
             tuple(self.tasks[i].exec_time_ms for i in bundle.task_indices)
             for bundle in self.bundles

@@ -7,7 +7,7 @@ and the benches) is layered on top of this package:
 * :mod:`repro.campaign.scenario` — declarative :class:`Scenario` specs and
   the decorator-based system/scenario registries.
 * :mod:`repro.campaign.backend` — the simulation core plus serial and
-  ``multiprocessing`` execution backends.
+  forked-worker execution backends.
 * :mod:`repro.campaign.results` — per-run :class:`RunRecord` persistence
   (JSONL under ``results/``) consumed by reporting and replay.
 * :mod:`repro.campaign.runner` — :class:`CampaignRunner`, tying the three

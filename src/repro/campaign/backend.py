@@ -4,9 +4,9 @@
 turned into a finished simulation — ``experiments.runner.run_sequence``
 and both campaign backends are thin wrappers over it.  Each campaign
 *cell* carries everything a worker needs (workload spec, seed, resolved
-parameters), so the parallel backend ships only small picklable specs to
-worker processes and each worker rebuilds its own engine, RNG streams
-and application-instance-id counter — no cross-run global state.
+parameters); the parallel backend's forked workers inherit the cell list
+and each cell rebuilds its own engine, RNG streams and
+application-instance-id counter — no cross-run global state.
 
 The serial backend is the reference for determinism tests: for the same
 cells, :class:`ProcessBackend` must return bit-identical records.
@@ -14,6 +14,14 @@ cells, :class:`ProcessBackend` must return bit-identical records.
 
 from __future__ import annotations
 
+import os
+import pickle
+import select
+import signal
+import struct
+import sys
+import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -70,10 +78,10 @@ class DrainError(RuntimeError):
         )
 
     def __reduce__(self):
-        # A worker's DrainError crosses the multiprocessing boundary by
-        # pickle; the default reduction would replay ``args`` (the
-        # message) into the 5-argument ``__init__`` and lose the
-        # diagnostic, so rebuild from the structured fields instead.
+        # A worker's DrainError crosses the result pipe by pickle; the
+        # default reduction would replay ``args`` (the message) into the
+        # 5-argument ``__init__`` and lose the diagnostic, so rebuild
+        # from the structured fields instead.
         return (
             type(self),
             (
@@ -227,9 +235,7 @@ class CampaignCell:
 def execute_cell(cell: CampaignCell) -> RunRecord:
     """Run one cell to completion and flatten it into a :class:`RunRecord`.
 
-    This is the unit of work both backends schedule; it must stay a
-    module-level function so it pickles under every multiprocessing start
-    method.
+    This is the unit of work both backends schedule.
     """
     arrivals = cell.resolve_arrivals()
     trackers = {}
@@ -379,38 +385,157 @@ def failure_record(cell: CampaignCell, error: str) -> RunRecord:
     )
 
 
+#: Task message: the index of the next cell a worker runs.
+_TASK = struct.Struct("<q")
+#: Result message header: the byte length of the pickle that follows.
+_HEADER = struct.Struct("<Q")
+#: What :meth:`_Worker.receive` returns on EOF: the worker died.
+_CRASHED = object()
+
+
+def _serve(cells: Sequence[CampaignCell], task_fd: int, result_fd: int) -> None:
+    """Worker loop: run the cells the task pipe names until it closes.
+
+    EOF on the task pipe means the orchestrator is done, or dead; either
+    way the worker returns, so no worker outlives its orchestrator by
+    more than the cell it is running.
+    """
+    while True:
+        # Task messages are far below PIPE_BUF, so each arrives whole.
+        message = os.read(task_fd, _TASK.size)
+        if len(message) < _TASK.size:
+            return
+        (index,) = _TASK.unpack(message)
+        try:
+            payload = pickle.dumps(
+                (True, execute_cell(cells[index])), pickle.HIGHEST_PROTOCOL
+            )
+        except Exception as exc:
+            import traceback  # only failing cells pay for it
+
+            trace = traceback.format_exc()
+            try:
+                payload = pickle.dumps(
+                    (False, (exc, trace)), pickle.HIGHEST_PROTOCOL
+                )
+                pickle.loads(payload)  # the orchestrator must rebuild it
+            except Exception:
+                # An exception that cannot cross the pipe still names its
+                # type and message.
+                stand_in = RuntimeError(f"{type(exc).__name__}: {exc}")
+                payload = pickle.dumps((False, (stand_in, trace)))
+        view = memoryview(_HEADER.pack(len(payload)) + payload)
+        while view:
+            view = view[os.write(result_fd, view):]
+
+
+class _WorkerTraceback(Exception):
+    """A worker's traceback, chained as the ``__cause__`` of the simulation
+    exception the orchestrator re-raises."""
+
+
+class _Worker:
+    """One forked worker: its pid, pipe ends and the cell it is running."""
+
+    def __init__(self, cells: Sequence[CampaignCell], siblings: List[int]) -> None:
+        task_read, self.task_fd = os.pipe()
+        self.result_fd, result_write = os.pipe()
+        # Flush first so the child inherits no pending output.
+        sys.stdout.flush()
+        sys.stderr.flush()
+        self.pid = os.fork()
+        if self.pid == 0:
+            code = 1
+            try:
+                # Keep only this worker's own ends: a sibling holding
+                # another worker's result pipe would hide that worker's
+                # crash, and one holding a task pipe would keep that
+                # worker alive after the orchestrator died.
+                for fd in [self.task_fd, self.result_fd] + siblings:
+                    os.close(fd)
+                _serve(cells, task_read, result_write)
+                code = 0
+            finally:
+                # Never unwind into the orchestrator's stack, atexit
+                # hooks, sqlite handles or stdio buffers.
+                os._exit(code)
+        os.close(task_read)
+        os.close(result_write)
+        self.buffer = bytearray()
+        self.index: Optional[int] = None
+        self.deadline: Optional[float] = None
+
+    def assign(self, index: int, timeout_s: Optional[float]) -> None:
+        self.index = index
+        self.deadline = (
+            time.monotonic() + timeout_s if timeout_s is not None else None
+        )
+        try:
+            os.write(self.task_fd, _TASK.pack(index))
+        except BrokenPipeError:
+            pass  # the dead worker's result pipe reports EOF: a crash
+
+    def receive(self):
+        """Read what is ready: ``(ok, value)`` once the message is whole,
+        None while it is partial, :data:`_CRASHED` on EOF."""
+        chunk = os.read(self.result_fd, 1 << 16)
+        if not chunk:
+            return _CRASHED
+        self.buffer += chunk
+        if len(self.buffer) < _HEADER.size:
+            return None
+        (length,) = _HEADER.unpack_from(self.buffer)
+        if len(self.buffer) < _HEADER.size + length:
+            return None
+        outcome = pickle.loads(self.buffer[_HEADER.size:])
+        self.buffer.clear()
+        return outcome
+
+    def stop(self) -> None:
+        os.close(self.task_fd)
+        os.close(self.result_fd)
+        try:
+            os.kill(self.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        os.waitpid(self.pid, 0)
+
+
 @dataclass
 class ProcessBackend:
-    """Fan cells out over a process pool, surviving crashed workers.
+    """Fan cells out over forked workers, surviving crashed workers.
 
+    Each round forks ``min(jobs, cells)`` workers that inherit the cell
+    list, so no cell is pickled on the way out.  A worker takes one cell
+    index at a time from its task pipe (dynamic load balance) and writes
+    back a length-prefixed pickled ``(ok, record | exception)``.
     Results come back in cell order, so aggregate statistics are
     independent of worker completion order and bit-identical to the
-    serial backend.  Unlike a bare ``multiprocessing.Pool.map`` — which
-    hangs forever when a worker dies mid-task — this backend:
+    serial backend.  Every call runs its cells in workers, a lone cell
+    included, so this backend always:
 
-    * detects a crashed worker immediately (the pool breaks with
-      :class:`BrokenProcessPool` rather than waiting on a lost task);
-    * bounds each cell's wall-clock with ``timeout_s`` (hung workers are
-      terminated, not waited on);
-    * re-executes every unfinished cell deterministically in a fresh
-      single-worker pool, up to ``max_retries`` isolation rounds —
-      a transiently killed worker (OOM reaper, operator signal) costs a
+    * detects a crashed worker at once: EOF on its result pipe fails
+      over only the cell it was running, and a fresh worker replaces it
+      while the others keep running;
+    * bounds each cell's wall-clock with ``timeout_s``, counted from the
+      cell's dispatch: a hung worker is killed and replaced, and only its
+      cell fails over;
+    * re-executes every failed-over cell deterministically in its own
+      single-worker round, up to ``max_retries`` isolation rounds — a
+      transiently killed worker (OOM reaper, operator signal) costs a
       retry, not the campaign;
     * surfaces cells that still fail as :func:`failure_record` entries
       instead of raising, so the healthy records survive.
 
     Exceptions raised *by the simulation itself* (``DrainError``, bad
-    specs) are real results, not infrastructure faults — they propagate
-    exactly as the serial backend would raise them.
+    specs) are real results, not infrastructure faults: the lowest-index
+    failing cell's exception is raised, the one the serial backend would
+    raise.  The backend needs ``os.fork`` (POSIX).
     """
 
     jobs: int = 2
-    #: Retained for construction compatibility; the executor always ships
-    #: one cell per task so long and short cells stay load-balanced.
-    chunksize: int = 1
-    #: Per-cell wall-clock bound in seconds (None = unbounded).  Measured
-    #: from when collection reaches the cell, so an earlier slow cell can
-    #: only lengthen — never shorten — a later cell's budget.
+    #: Per-cell wall-clock bound in seconds (None = unbounded), counted
+    #: from the cell's dispatch to a worker.
     timeout_s: Optional[float] = None
     #: Isolation rounds re-running crashed/timed-out cells before they
     #: are surfaced as failure records.
@@ -422,18 +547,20 @@ class ProcessBackend:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        if not hasattr(os, "fork"):
+            raise RuntimeError(
+                "ProcessBackend forks its workers, and os.fork is not "
+                "available on this platform; run with jobs=1"
+            )
 
     def run(self, cells: Sequence[CampaignCell]) -> List[RunRecord]:
         cells = list(cells)
-        if self.jobs == 1 or len(cells) <= 1:
-            return SerialBackend().run(cells)
         records, failures = self._round(cells, range(len(cells)), self.jobs)
         for _ in range(self.max_retries):
             if not failures:
                 break
             # Isolation mode: each failed cell retries in its own fresh
-            # single-worker pool, so a poison cell can only break its own
-            # pool and healthy siblings caught in the breakage complete.
+            # single-worker round, so a poison cell can only fail itself.
             still_failing: Dict[int, str] = {}
             for index in sorted(failures):
                 retried, failed = self._round(cells, [index], 1)
@@ -452,48 +579,86 @@ class ProcessBackend:
         indices: Iterable[int],
         workers: int,
     ) -> Tuple[Dict[int, RunRecord], Dict[int, str]]:
-        """One pool generation: records collected and failures to retry."""
-        # Imported here so serial runs never load the pool machinery.
-        import concurrent.futures
-        from concurrent.futures.process import BrokenProcessPool
-
-        indices = list(indices)
+        """One worker generation: records collected and failures to retry."""
+        pending = deque(indices)
         records: Dict[int, RunRecord] = {}
         failures: Dict[int, str] = {}
-        executor = concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(workers, len(indices))
-        )
-        try:
-            futures = {
-                index: executor.submit(execute_cell, cells[index])
-                for index in indices
-            }
-            for index, future in futures.items():
-                try:
-                    records[index] = future.result(timeout=self.timeout_s)
-                except concurrent.futures.TimeoutError:
-                    failures[index] = (
-                        f"cell timed out after {self.timeout_s:g}s"
-                    )
-                    # result(timeout=...) leaves the worker running; kill
-                    # the pool's processes so the hung task cannot block
-                    # shutdown (pending siblings fail over to retry).
-                    self._terminate_workers(executor)
-                except BrokenProcessPool:
-                    # The dying worker is not attributable to one future:
-                    # every unfinished cell fails over to the retry round.
-                    failures[index] = "worker process crashed"
-                except concurrent.futures.CancelledError:
-                    failures[index] = "cancelled after pool breakage"
-        finally:
-            executor.shutdown(wait=True, cancel_futures=True)
-        return records, failures
+        errors: Dict[int, BaseException] = {}
+        live: Dict[int, _Worker] = {}  # keyed by result fd
 
-    @staticmethod
-    def _terminate_workers(executor) -> None:
-        processes = getattr(executor, "_processes", None) or {}
-        for process in list(processes.values()):
-            process.terminate()
+        def spawn() -> None:
+            # The other workers' pipe ends (``live`` keys are result fds).
+            siblings = [w.task_fd for w in live.values()] + list(live)
+            worker = _Worker(cells, siblings)
+            live[worker.result_fd] = worker
+            worker.assign(pending.popleft(), self.timeout_s)
+
+        def finish(worker: _Worker) -> None:
+            # Dispatch stops at the first simulation exception: every
+            # undispatched cell has a higher index than it.
+            if pending and not errors:
+                worker.assign(pending.popleft(), self.timeout_s)
+            else:
+                worker.index = worker.deadline = None
+
+        def replace(worker: _Worker, error: str) -> None:
+            failures[worker.index] = error
+            del live[worker.result_fd]
+            worker.stop()
+            if pending and not errors:
+                spawn()
+
+        try:
+            for _ in range(min(workers, len(pending))):
+                spawn()
+            while True:
+                # Cells above the lowest failing one cannot change what
+                # is raised, so they are not waited for.
+                horizon = min(errors, default=len(cells))
+                waiting = [
+                    w for w in live.values()
+                    if w.index is not None and w.index < horizon
+                ]
+                if not waiting:
+                    break
+                deadlines = [w.deadline for w in waiting if w.deadline is not None]
+                timeout = (
+                    max(0.0, min(deadlines) - time.monotonic())
+                    if deadlines else None
+                )
+                ready, _, _ = select.select(
+                    [w.result_fd for w in waiting], [], [], timeout
+                )
+                for fd in ready:
+                    worker = live[fd]
+                    outcome = worker.receive()
+                    if outcome is _CRASHED:
+                        replace(worker, "worker process crashed")
+                    elif outcome is not None:
+                        ok, value = outcome
+                        if ok:
+                            records[worker.index] = value
+                        else:
+                            error, trace = value
+                            error.__cause__ = _WorkerTraceback(trace)
+                            errors[worker.index] = error
+                        finish(worker)
+                now = time.monotonic()
+                for worker in waiting:
+                    if (
+                        live.get(worker.result_fd) is worker
+                        and worker.deadline is not None
+                        and worker.deadline <= now
+                    ):
+                        replace(
+                            worker, f"cell timed out after {self.timeout_s:g}s"
+                        )
+        finally:
+            for worker in live.values():
+                worker.stop()
+        if errors:
+            raise errors[min(errors)]
+        return records, failures
 
 
 def make_backend(

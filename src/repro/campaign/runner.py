@@ -12,7 +12,7 @@ from .scenario import Scenario, get_scenario
 
 
 class CampaignRunner:
-    """Execute campaigns over a serial or multiprocessing backend.
+    """Execute campaigns over a serial or forked-worker backend.
 
     ``jobs=1`` selects the deterministic serial reference backend;
     ``jobs=N`` fans cells out over N worker processes.  When a ``store``

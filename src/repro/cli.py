@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -37,6 +38,20 @@ from .store import DEFAULT_SNAPSHOT_EVERY
 # imported inside the handler of the command that uses it, so a short
 # command pays at startup only for its own modules.
 
+
+def usable_cpus() -> int:
+    """Default ``--jobs``: the CPUs this process may run on.
+
+    1 where ``os.fork`` is missing, since the parallel backend forks.
+    """
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API (macOS)
+        return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -45,16 +60,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_parallel_options(p: argparse.ArgumentParser) -> None:
+        jobs = usable_cpus()
         p.add_argument(
-            "--jobs", type=int, default=1,
-            help="worker processes for the campaign backend (default: 1, serial)",
+            "--jobs", type=int, default=jobs,
+            help="forked worker processes for the campaign backend "
+                 f"(default: all usable CPUs, here {jobs}; 1 is the serial "
+                 "reference)",
         )
         p.add_argument(
             "--cell-timeout", type=float, default=None, metavar="S",
-            help="with --jobs N: wall-clock bound per campaign cell in "
-                 "seconds; a hung worker is killed, the cell retried once "
-                 "in isolation, and a persistent failure is surfaced as a "
-                 "failure record instead of hanging the campaign",
+            help="with --jobs N > 1: wall-clock bound per campaign cell in "
+                 "seconds, counted from the cell's dispatch to a worker; a "
+                 "hung worker is killed and replaced, only its cell is "
+                 "retried once in isolation, and a persistent failure is "
+                 "surfaced as a failure record instead of hanging the "
+                 "campaign (a crashed worker is handled the same way)",
         )
         p.add_argument(
             "--out", type=str, default=None, metavar="PATH",
@@ -723,7 +743,13 @@ def _cmd_store(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "jobs", 1) > 1 and not hasattr(os, "fork"):
+        parser.error(
+            f"--jobs {args.jobs} needs os.fork, which this platform lacks; "
+            "use --jobs 1"
+        )
     return _dispatch(args)
 
 

@@ -19,13 +19,16 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: Packages no default command may load.
 HEAVY_DEPS = ("numpy", "scipy", "networkx", "matplotlib")
 
+#: Stdlib pool machinery the forked-worker backend replaced.
+POOL_MODULES = ("concurrent.futures", "multiprocessing")
 
-def loaded_heavy_deps(code: str, cwd: Path) -> list:
-    """Run ``code`` in a fresh interpreter; the heavy deps it left loaded."""
+
+def loaded_modules(code: str, cwd: Path, modules=HEAVY_DEPS) -> list:
+    """Run ``code`` in a fresh interpreter; which ``modules`` it left loaded."""
     probe = (
         f"{code}\n"
         "import json, sys\n"
-        f"print(json.dumps([m for m in {HEAVY_DEPS!r} if m in sys.modules]))\n"
+        f"print(json.dumps([m for m in {tuple(modules)!r} if m in sys.modules]))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -49,7 +52,7 @@ def cli_probe(argv) -> str:
 
 
 def test_import_cli_loads_no_heavy_deps(tmp_path):
-    assert loaded_heavy_deps("import repro.cli", tmp_path) == []
+    assert loaded_modules("import repro.cli", tmp_path) == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -57,4 +60,14 @@ def test_import_cli_loads_no_heavy_deps(tmp_path):
     ["fig8", "--apps", "16"],
 ])
 def test_command_loads_no_heavy_deps(tmp_path, argv):
-    assert loaded_heavy_deps(cli_probe(argv), tmp_path) == []
+    assert loaded_modules(cli_probe(argv), tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["campaign", "run", "smoke", "--jobs", "2", "--out", "smoke.jsonl"],
+    ["fleet", "run", "fleet-smoke", "--jobs", "2", "--out", "fleet.jsonl"],
+])
+def test_pooled_command_loads_no_pool_machinery(tmp_path, argv):
+    # The parallel backend forks its own workers; the stdlib pools cost
+    # import time and RSS on every pooled command.
+    assert loaded_modules(cli_probe(argv), tmp_path, POOL_MODULES) == []
