@@ -6,11 +6,21 @@ library alone.  numpy and scipy are needed only by the optional
 ``repro[test]`` installs the test runner.
 """
 
+import re
+from pathlib import Path
+
 from setuptools import find_packages, setup
+
+
+def read_version() -> str:
+    """``repro.__version__``, parsed from the source without importing it."""
+    init = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+    return re.search(r'^__version__ = "([^"]+)"$', init.read_text(), re.M).group(1)
+
 
 setup(
     name="repro",
-    version="0.6.0",
+    version=read_version(),
     description=(
         "Discrete-event reproduction of VersaSlot (DAC 2025): "
         "spatio-temporal FPGA sharing with Big.Little slots"

@@ -1,28 +1,26 @@
 """Application model: tasks, bundles, benchmarks, pipelines, partitioning."""
 
-from .application import (
-    BUNDLE_SIZE,
-    ApplicationInstance,
-    ApplicationSpec,
-    BundleSpec,
-    TaskSpec,
-    pipelined_exec_time,
-    reset_instance_ids,
-    sequential_exec_time,
-)
-from .benchmarks import BENCHMARKS, FIG7_APPS, benchmark_names, build_application, get_benchmark
-from .partition import (
-    generate_synthetic_application,
-    partition_workload,
-    quantize_usage,
-    synthesize_bundle,
-)
-from .pipeline import (
-    TaskGraph,
-    estimate_big_makespan_ms,
-    estimate_makespan_ms,
-    wave_partition,
-)
+from .. import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "application": (
+        "BUNDLE_SIZE", "ApplicationInstance", "ApplicationSpec", "BundleSpec",
+        "TaskSpec", "pipelined_exec_time", "reset_instance_ids",
+        "sequential_exec_time",
+    ),
+    "benchmarks": (
+        "BENCHMARKS", "FIG7_APPS", "benchmark_names", "build_application",
+        "get_benchmark",
+    ),
+    "partition": (
+        "generate_synthetic_application", "partition_workload",
+        "quantize_usage", "synthesize_bundle",
+    ),
+    "pipeline": (
+        "TaskGraph", "estimate_big_makespan_ms", "estimate_makespan_ms",
+        "wave_partition",
+    ),
+})
 
 __all__ = [
     "BENCHMARKS",

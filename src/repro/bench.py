@@ -28,9 +28,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 BENCH_SCHEMA = "repro-bench/1"
 
-#: Default trajectory file, at the repository root by convention.
-DEFAULT_OUT = "BENCH_kernel.json"
-
 
 @dataclass(frozen=True)
 class BenchSpec:
@@ -818,46 +815,6 @@ def format_table(results: Sequence[BenchResult],
 # ----------------------------------------------------------------------
 # CLI entry point (wired into ``repro bench``)
 # ----------------------------------------------------------------------
-def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--quick", action="store_true",
-                        help="fewer rounds and only the fast benchmarks (CI smoke)")
-    parser.add_argument("--rounds", type=int, default=None,
-                        help="override the number of timed rounds per benchmark")
-    parser.add_argument("--only", action="append", default=None, metavar="NAME",
-                        help="run only the named benchmark (repeatable)")
-    parser.add_argument("--out", type=str, default=DEFAULT_OUT, metavar="PATH",
-                        help=f"trajectory file to append to (default: {DEFAULT_OUT})")
-    parser.add_argument("--no-write", action="store_true",
-                        help="measure and report only; do not touch the trajectory")
-    parser.add_argument("--baseline", type=str, default=None, metavar="PATH",
-                        help="trajectory file whose newest entry gates regressions")
-    parser.add_argument("--max-regression", type=float, default=0.30,
-                        help="allowed fractional throughput drop vs the baseline "
-                             "(default: 0.30)")
-    parser.add_argument("--note", type=str, default="",
-                        help="free-form label stored with the trajectory entry")
-    parser.add_argument("--profile", action="store_true",
-                        help="cProfile the selected payloads instead of timing "
-                             "them: prints the top hotspots and writes the "
-                             "full listing to results/profile_<name>.txt")
-    parser.add_argument("--profile-dir", type=str, default="results",
-                        metavar="DIR",
-                        help="directory --profile reports are written under "
-                             "(default: results)")
-    parser.add_argument("--compare", type=str, default=None,
-                        metavar="CANDIDATE,BASE",
-                        help="run the kernel benches on two backends (e.g. "
-                             "wheel,heap) and fail if the candidate falls "
-                             "below the per-bench ratio floors")
-    parser.add_argument("--telemetry-gate", type=float, default=None,
-                        metavar="FRACTION",
-                        help="fail when the enabled telemetry bus costs more "
-                             "than FRACTION of scheduler_single_app_run "
-                             "throughput (a separate paired measurement with "
-                             "its own fixed sampling; --rounds does not "
-                             "apply)")
-
-
 def run_bench_command(args: argparse.Namespace) -> int:
     if getattr(args, "profile", False):
         # Profiling answers "where do the cycles go", not "how fast is

@@ -20,43 +20,26 @@ it when those features are requested (or a SQLite path is given), and
 stay byte-identical to the legacy path otherwise.
 """
 
-from .backend import (
-    CampaignCell,
-    DEFAULT_HORIZON_MS,
-    DrainError,
-    ProcessBackend,
-    SerialBackend,
-    SimulationOutcome,
-    execute_cell,
-    failure_record,
-    make_backend,
-    simulate_run,
-)
-from .results import (
-    COUNTER_FIELDS,
-    RESULTS_FILE_SCHEMA,
-    ResultsStore,
-    RunRecord,
-    SCHEMA_VERSION,
-    fingerprint_parameters,
-    group_by_system,
-    is_results_header,
-    load_records,
-    results_header,
-)
-from .runner import CampaignRunner
-from .scenario import (
-    SCENARIOS,
-    SYSTEM_REGISTRY,
-    Scenario,
-    SystemSpec,
-    get_scenario,
-    get_system,
-    register_scenario,
-    register_system,
-    scenario_names,
-    system_names,
-)
+from .. import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "backend": (
+        "CampaignCell", "DEFAULT_HORIZON_MS", "DrainError", "ProcessBackend",
+        "SerialBackend", "SimulationOutcome", "execute_cell", "failure_record",
+        "make_backend", "simulate_run",
+    ),
+    "results": (
+        "COUNTER_FIELDS", "RESULTS_FILE_SCHEMA", "ResultsStore", "RunRecord",
+        "SCHEMA_VERSION", "fingerprint_parameters", "group_by_system",
+        "is_results_header", "load_records", "results_header",
+    ),
+    "runner": ("CampaignRunner",),
+    "scenario": (
+        "SCENARIOS", "SYSTEM_REGISTRY", "Scenario", "SystemSpec",
+        "get_scenario", "get_system", "register_scenario", "register_system",
+        "scenario_names", "system_names",
+    ),
+})
 
 __all__ = [
     "COUNTER_FIELDS",

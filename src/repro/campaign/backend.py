@@ -28,6 +28,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from ..apps.application import reset_instance_ids
 from ..config import DEFAULT_PARAMETERS, SystemParameters
 from ..fpga.board import FPGABoard
+from ..metrics.utilization import UtilizationTracker
 from ..schedulers.base import SchedulerStats
 from ..sim import DEFAULT_ENGINE, Engine, Tracer
 from ..telemetry import (
@@ -243,8 +244,6 @@ def execute_cell(cell: CampaignCell) -> RunRecord:
     def attach_tracker(engine, board, scheduler) -> None:
         # Observability only: the tracker subscribes to slot observers and
         # schedules nothing, so the simulation trace is unchanged.
-        from ..metrics.utilization import UtilizationTracker
-
         trackers["utilization"] = UtilizationTracker(board)
 
     def configure_retention(engine, board, scheduler) -> None:

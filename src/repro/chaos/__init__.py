@@ -7,7 +7,13 @@ Nothing in this package touches wall clocks, ``hash()`` or global state —
 a schedule replays bit-identically in any process.
 """
 
-from .faults import FAULT_KINDS, FaultSchedule, FaultSpec, sample_fault_schedule
+from .. import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "faults": (
+        "FAULT_KINDS", "FaultSchedule", "FaultSpec", "sample_fault_schedule",
+    ),
+})
 
 __all__ = [
     "FAULT_KINDS",

@@ -31,12 +31,12 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .bench import add_bench_arguments, run_bench_command
-from .store import DEFAULT_SNAPSHOT_EVERY
+from . import DEFAULT_SNAPSHOT_EVERY
 
-# The parser needs only the two imports above.  Every other subsystem is
-# imported inside the handler of the command that uses it, so a short
-# command pays at startup only for its own modules.
+# The parser needs nothing beyond the standard library and the package
+# root.  Every subsystem is imported inside the handler of the command
+# that uses it, so a short command pays at startup only for its own
+# import chain.
 
 
 def usable_cpus() -> int:
@@ -297,7 +297,45 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the kernel/scheduler micro-benchmarks and update the "
              "BENCH_kernel.json throughput trajectory",
     )
-    add_bench_arguments(bench)
+    bench.add_argument("--quick", action="store_true",
+                       help="fewer rounds and only the fast benchmarks (CI smoke)")
+    bench.add_argument("--rounds", type=int, default=None,
+                       help="override the number of timed rounds per benchmark")
+    bench.add_argument("--only", action="append", default=None, metavar="NAME",
+                       help="run only the named benchmark (repeatable)")
+    bench.add_argument("--out", type=str, default="BENCH_kernel.json",
+                       metavar="PATH",
+                       help="trajectory file to append to "
+                            "(default: BENCH_kernel.json)")
+    bench.add_argument("--no-write", action="store_true",
+                       help="measure and report only; do not touch the trajectory")
+    bench.add_argument("--baseline", type=str, default=None, metavar="PATH",
+                       help="trajectory file whose newest entry gates regressions")
+    bench.add_argument("--max-regression", type=float, default=0.30,
+                       help="allowed fractional throughput drop vs the baseline "
+                            "(default: 0.30)")
+    bench.add_argument("--note", type=str, default="",
+                       help="free-form label stored with the trajectory entry")
+    bench.add_argument("--profile", action="store_true",
+                       help="cProfile the selected payloads instead of timing "
+                            "them: prints the top hotspots and writes the "
+                            "full listing to results/profile_<name>.txt")
+    bench.add_argument("--profile-dir", type=str, default="results",
+                       metavar="DIR",
+                       help="directory --profile reports are written under "
+                            "(default: results)")
+    bench.add_argument("--compare", type=str, default=None,
+                       metavar="CANDIDATE,BASE",
+                       help="run the kernel benches on two backends (e.g. "
+                            "wheel,heap) and fail if the candidate falls "
+                            "below the per-bench ratio floors")
+    bench.add_argument("--telemetry-gate", type=float, default=None,
+                       metavar="FRACTION",
+                       help="fail when the enabled telemetry bus costs more "
+                            "than FRACTION of scheduler_single_app_run "
+                            "throughput (a separate paired measurement with "
+                            "its own fixed sampling; --rounds does not "
+                            "apply)")
 
     replay = sub.add_parser("replay", help="re-render results from persisted records")
     replay.add_argument(
@@ -353,8 +391,7 @@ def _default_out(scenario_name: str, args: argparse.Namespace) -> str:
 def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.campaign_command == "replay":
         return _cmd_replay(args)
-    from .campaign import CampaignRunner, get_scenario, scenario_names
-    from .metrics.report import summarize_records
+    from .campaign.scenario import get_scenario, scenario_names
 
     if args.campaign_command == "list":
         if args.json:
@@ -396,6 +433,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         snapshot_every = _effective_snapshot_every(args)
     except ValueError as exc:
         return _operator_error(exc)
+    from .campaign.runner import CampaignRunner
+    from .metrics.report import summarize_records
+
     runner = CampaignRunner(
         jobs=args.jobs,
         store=_default_out(scenario.name, args),
@@ -566,13 +606,15 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     # replay, 2 operator error, 3 rendered but with dropped line(s).
     from .store import is_sqlite_path
     from .telemetry import sniff_event_log
-    from .verify.fuzz import parse_repro_payload, replay_case, sniff_repro_file
+    from .verify.repro_file import sniff_repro_file
 
     as_json = bool(getattr(args, "json", False))
     try:
         if not is_sqlite_path(args.path):
             repro_payload = sniff_repro_file(args.path)
             if repro_payload is not None:
+                from .verify.fuzz import parse_repro_payload, replay_case
+
                 case, _ = parse_repro_payload(repro_payload, source=args.path)
                 report = replay_case(case)
                 print(report.summary())
@@ -646,9 +688,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 def _cmd_store(args: argparse.Namespace) -> int:
     if args.store_command == "verify":
-        from .verify.cli import _run_store_audit
+        from .store.audit import run_store_audit
 
-        return _run_store_audit(args.path)
+        return run_store_audit(args.path)
     from .metrics.report import format_table
     from .store import default_projections, open_store
 
@@ -773,6 +815,8 @@ def _dispatch(args: argparse.Namespace) -> int:
 
         return run_verify_command(args)
     if args.command == "bench":
+        from .bench import run_bench_command
+
         return run_bench_command(args)
     if args.command == "replay":
         return _cmd_replay(args)

@@ -1,14 +1,15 @@
 """Cluster layer: boards, live migration and the contention monitor."""
 
-from .cluster import FPGACluster, SchedulerFactory
-from .migration import (
-    SD_STAGE_MS_PER_BITSTREAM,
-    MigrationRecord,
-    MigrationStats,
-    migrate,
-    prewarm_board,
-)
-from .monitor import ContentionMonitor
+from .. import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "cluster": ("FPGACluster", "SchedulerFactory"),
+    "migration": (
+        "SD_STAGE_MS_PER_BITSTREAM", "MigrationRecord", "MigrationStats",
+        "migrate", "prewarm_board",
+    ),
+    "monitor": ("ContentionMonitor",),
+})
 
 __all__ = [
     "ContentionMonitor",

@@ -1,17 +1,22 @@
 """VersaSlot core: Big.Little allocation, bundling, D_switch, switch loop."""
 
-from .allocation import allocate_big_little
-from .bundling import (
-    bundle_tiling,
-    idle_subslot_cycles,
-    parallel_time_ms,
-    serial_preferred,
-    serial_time_ms,
-)
-from .dswitch import DSwitchCalculator, DSwitchSample
-from .scheduling import dispatch_order, pending_pr_payloads, ready_task_queue
-from .switching import SchmittTrigger, SwitchDecision, TriggerEvent
-from .versaslot import VersaSlotBigLittle, VersaSlotOnlyLittle, make_versaslot
+from .. import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "allocation": ("allocate_big_little",),
+    "bundling": (
+        "bundle_tiling", "idle_subslot_cycles", "parallel_time_ms",
+        "serial_preferred", "serial_time_ms",
+    ),
+    "dswitch": ("DSwitchCalculator", "DSwitchSample"),
+    "scheduling": (
+        "dispatch_order", "pending_pr_payloads", "ready_task_queue",
+    ),
+    "switching": ("SchmittTrigger", "SwitchDecision", "TriggerEvent"),
+    "versaslot": (
+        "VersaSlotBigLittle", "VersaSlotOnlyLittle", "make_versaslot",
+    ),
+})
 
 __all__ = [
     "DSwitchCalculator",

@@ -1,16 +1,29 @@
 """Experiment modules regenerating every table/figure of the paper."""
 
-from .fig5 import (
-    CONDITIONS,
-    Fig5Result,
-    PAPER_FIG5,
-    reductions_from_records,
-    run_fig5,
-)
-from .fig6 import Fig6Result, PAPER_FIG6, TAIL_CONDITIONS, fig6_from_records, run_fig6
-from .fig7 import Fig7Result, PAPER_FIG7, PAPER_IC_DETAIL, run_fig7, run_fig7_dynamic
-from .fig8 import Fig8Result, PAPER_FIG8, PAPER_SWITCH_OVERHEAD_MS, long_workload, run_cluster, run_fig8
-from .runner import RunResult, SYSTEMS, record_to_run_result, run_matrix, run_sequence
+from .. import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "fig5": (
+        "CONDITIONS", "Fig5Result", "PAPER_FIG5", "reductions_from_records",
+        "run_fig5",
+    ),
+    "fig6": (
+        "Fig6Result", "PAPER_FIG6", "TAIL_CONDITIONS", "fig6_from_records",
+        "run_fig6",
+    ),
+    "fig7": (
+        "Fig7Result", "PAPER_FIG7", "PAPER_IC_DETAIL", "run_fig7",
+        "run_fig7_dynamic",
+    ),
+    "fig8": (
+        "Fig8Result", "PAPER_FIG8", "PAPER_SWITCH_OVERHEAD_MS",
+        "long_workload", "run_cluster", "run_fig8",
+    ),
+    "runner": (
+        "RunResult", "SYSTEMS", "record_to_run_result", "run_matrix",
+        "run_sequence",
+    ),
+})
 
 __all__ = [
     "fig6_from_records",

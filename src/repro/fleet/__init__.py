@@ -1,45 +1,27 @@
 """Sharded multi-cluster fleet: routing front-end over campaign shards."""
 
-from .control import (
-    SHARD_STATES,
-    SHED_CAPACITY_THRESHOLD,
-    TRANSITIONS,
-    FleetSupervisor,
-    RequestRecord,
-    ServingPlan,
-    ShardActor,
-    supervised_partition,
-)
-from .fleet import (
-    FLEET_SCENARIOS,
-    Fleet,
-    FleetResult,
-    FleetRollup,
-    FleetScenario,
-    ShardRollup,
-    fleet_scenario_names,
-    get_fleet_scenario,
-    register_fleet_scenario,
-    rollup_records,
-)
-from .routing import (
-    ADMISSION_BATCH,
-    ROUTING_POLICIES,
-    ConsistentHashPolicy,
-    LeastLoadedPolicy,
-    PowerOfTwoPolicy,
-    RoutingPolicy,
-    estimated_work_ms,
-    get_policy,
-    load_imbalance,
-    partition_arrivals,
-    policy_names,
-    register_policy,
-    stable_digest,
-)
-from .workload import FLEET_WORKLOAD_KINDS, FleetWorkload
+from .. import lazy_exports
 
-from . import scenarios  # noqa: F401  (registers the built-in fleet scenarios)
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "control": (
+        "SHARD_STATES", "SHED_CAPACITY_THRESHOLD", "TRANSITIONS",
+        "FleetSupervisor", "RequestRecord", "ServingPlan", "ShardActor",
+        "supervised_partition",
+    ),
+    "fleet": (
+        "FLEET_SCENARIOS", "Fleet", "FleetResult", "FleetRollup",
+        "FleetScenario", "ShardRollup", "fleet_scenario_names",
+        "get_fleet_scenario", "register_fleet_scenario", "rollup_records",
+    ),
+    "routing": (
+        "ADMISSION_BATCH", "ROUTING_POLICIES", "ConsistentHashPolicy",
+        "LeastLoadedPolicy", "PowerOfTwoPolicy", "RoutingPolicy",
+        "estimated_work_ms", "get_policy", "load_imbalance",
+        "partition_arrivals", "policy_names", "register_policy",
+        "stable_digest",
+    ),
+    "workload": ("FLEET_WORKLOAD_KINDS", "FleetWorkload"),
+})
 
 __all__ = [
     "ADMISSION_BATCH",

@@ -506,3 +506,8 @@ class Fleet:
             scenario=self.scenario, records=records, rollup=rollup,
             serving_plans=serving_plans, resumed_cells=outcome.resumed,
         )
+
+
+# The scenario registry is filled by the module that reads it, so every
+# import path to ``get_fleet_scenario`` sees the built-in scenarios.
+from . import scenarios  # noqa: E402,F401  (registers the built-ins)

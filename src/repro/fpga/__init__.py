@@ -1,12 +1,19 @@
 """Simulated FPGA hardware substrate (PS, PCAP, slots, links)."""
 
-from .bitstream import Bitstream, BitstreamLibrary, SlotKind
-from .board import FPGABoard, connect_boards
-from .cpu import Core, ProcessingSystem
-from .interconnect import AuroraLink
-from .pcap import PCAP, PRVerificationError
-from .resvec import ResourceVector
-from .slots import BoardConfig, Slot, SlotOccupancy, SlotState, build_slots, fabric_capacity
+from .. import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "bitstream": ("Bitstream", "BitstreamLibrary", "SlotKind"),
+    "board": ("FPGABoard", "connect_boards"),
+    "cpu": ("Core", "ProcessingSystem"),
+    "interconnect": ("AuroraLink",),
+    "pcap": ("PCAP", "PRVerificationError"),
+    "resvec": ("ResourceVector",),
+    "slots": (
+        "BoardConfig", "Slot", "SlotOccupancy", "SlotState", "build_slots",
+        "fabric_capacity",
+    ),
+})
 
 __all__ = [
     "AuroraLink",

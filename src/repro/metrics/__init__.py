@@ -1,15 +1,20 @@
 """Metrics: response times, tail latency, utilization, reporting."""
 
-from .response import (
-    ResponseStats,
-    geometric_mean,
-    relative_reduction,
-    relative_tail,
-    summarize_runs,
-)
-from .plots import bar_chart, grouped_bar_chart, trace_plot
-from .report import format_series, format_table, sparkline, summarize_records
-from .utilization import BundlingGain, UtilizationTracker, bundling_gain, ic_detail
+from .. import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "response": (
+        "ResponseStats", "geometric_mean", "relative_reduction",
+        "relative_tail", "summarize_runs",
+    ),
+    "plots": ("bar_chart", "grouped_bar_chart", "trace_plot"),
+    "report": (
+        "format_series", "format_table", "sparkline", "summarize_records",
+    ),
+    "utilization": (
+        "BundlingGain", "UtilizationTracker", "bundling_gain", "ic_detail",
+    ),
+})
 
 __all__ = [
     "BundlingGain",

@@ -1,12 +1,18 @@
 """Baseline scheduling systems and the shared on-board runtime."""
 
-from .base import OnBoardScheduler, PRPlan, ResponseRecord, SchedulerStats
-from .baseline import BaselineScheduler
-from .fcfs import FCFSScheduler
-from .ilp import allocate_slots_milp, optimal_big_slots, optimal_little_slots
-from .nimblock import NimblockScheduler
-from .round_robin import RoundRobinScheduler
-from .runtime import AppRun, BundleRun, TaskRun
+from .. import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "base": ("OnBoardScheduler", "PRPlan", "ResponseRecord", "SchedulerStats"),
+    "baseline": ("BaselineScheduler",),
+    "fcfs": ("FCFSScheduler",),
+    "ilp": (
+        "allocate_slots_milp", "optimal_big_slots", "optimal_little_slots",
+    ),
+    "nimblock": ("NimblockScheduler",),
+    "round_robin": ("RoundRobinScheduler",),
+    "runtime": ("AppRun", "BundleRun", "TaskRun"),
+})
 
 __all__ = [
     "AppRun",

@@ -8,45 +8,37 @@ format (:class:`JsonlRecorder`, bit-compatible with existing
 ``results/*.jsonl`` files).  On top of the log: ``--resume`` via
 :class:`CampaignSnapshot` checkpoints (:mod:`repro.store.resume`) and
 reports as watermark-tracked incremental projections
-(:mod:`repro.store.projections`).
+(:mod:`repro.store.projections`), all audited by
+:func:`repro.store.audit.check_store` (``repro store verify``).
 """
 
-from .campaign_store import (
-    CampaignStore,
-    RECORDER_BACKENDS,
-    as_campaign_store,
-    open_store,
-)
-from .notification import (
-    KIND_EVENT,
-    KIND_RECORD,
-    KIND_SNAPSHOT,
-    NOTIFICATION_KINDS,
-    Notification,
-    NotificationLog,
-)
-from .projections import (
-    FigureProjection,
-    FleetRollupProjection,
-    Projection,
-    RecordSummaryProjection,
-    TelemetryCounterProjection,
-    default_projections,
-    update_projections,
-    verify_store_projections,
-)
-from .recorder import (
-    EventRecorder,
-    JsonlRecorder,
-    SqliteRecorder,
-    is_sqlite_path,
-)
-from .resume import (
-    DEFAULT_SNAPSHOT_EVERY,
-    ExecutionOutcome,
-    execute_with_store,
-)
-from .snapshot import CampaignSnapshot, SNAPSHOT_SCHEMA, cell_key, cell_spec
+from .. import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "campaign_store": (
+        "CampaignStore", "RECORDER_BACKENDS", "as_campaign_store",
+        "open_store",
+    ),
+    "notification": (
+        "KIND_EVENT", "KIND_RECORD", "KIND_SNAPSHOT", "NOTIFICATION_KINDS",
+        "Notification", "NotificationLog",
+    ),
+    "projections": (
+        "FigureProjection", "FleetRollupProjection", "Projection",
+        "RecordSummaryProjection", "TelemetryCounterProjection",
+        "default_projections", "update_projections",
+        "verify_store_projections",
+    ),
+    "recorder": (
+        "EventRecorder", "JsonlRecorder", "SqliteRecorder", "is_sqlite_path",
+    ),
+    "resume": (
+        "DEFAULT_SNAPSHOT_EVERY", "ExecutionOutcome", "execute_with_store",
+    ),
+    "snapshot": (
+        "CampaignSnapshot", "SNAPSHOT_SCHEMA", "cell_key", "cell_spec",
+    ),
+})
 
 __all__ = [
     "CampaignSnapshot",

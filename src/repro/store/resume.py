@@ -17,12 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from .. import DEFAULT_SNAPSHOT_EVERY  # re-exported: the cadence --resume implies
 from ..telemetry.digest import ResponseDigest
 from .campaign_store import CampaignStore, as_campaign_store
 from .snapshot import CampaignSnapshot, cell_key, cell_spec
-
-#: Default checkpoint cadence (cells per snapshot) for the CLI surface.
-DEFAULT_SNAPSHOT_EVERY = 25
 
 
 @dataclass

@@ -18,54 +18,32 @@ event-sourced pipeline:
   alone.
 """
 
-from .bus import TelemetryBus, TelemetrySink
-from .digest import (
-    DIGEST_VERSION,
-    GAMMA,
-    MAX_TRACK_MS,
-    MIN_TRACK_MS,
-    N_BUCKETS,
-    QUANTILE_REL_ERROR,
-    ResponseDigest,
-    bucket_bounds,
-    bucket_representative,
-    digest_of,
-    merge_digests,
-)
-from .events import (
-    ArrivalEvent,
-    CompletionEvent,
-    EVENT_SCHEMA,
-    EVENT_TYPES,
-    LaunchEvent,
-    MigrationEvent,
-    PreemptionEvent,
-    RequestReroutedEvent,
-    RequestShedEvent,
-    ShardAdmissionEvent,
-    ShardDownEvent,
-    ShardRecoveredEvent,
-    SlotTransitionEvent,
-    TelemetryEvent,
-    canonical_line,
-    event_from_dict,
-    event_kinds,
-)
-from .sinks import (
-    FingerprintSink,
-    JsonlEventLogSink,
-    RecorderEventSink,
-    StreamingAggregationSink,
-)
-from .replay import (
-    iter_jsonl_payloads,
-    load_events,
-    read_event_log,
-    replay_aggregation,
-    replay_notifications,
-    sniff_event_log,
-    summarize_event_log,
-)
+from .. import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "bus": ("TelemetryBus", "TelemetrySink"),
+    "digest": (
+        "DIGEST_VERSION", "GAMMA", "MAX_TRACK_MS", "MIN_TRACK_MS", "N_BUCKETS",
+        "QUANTILE_REL_ERROR", "ResponseDigest", "bucket_bounds",
+        "bucket_representative", "digest_of", "merge_digests",
+    ),
+    "events": (
+        "ArrivalEvent", "CompletionEvent", "EVENT_SCHEMA", "EVENT_TYPES",
+        "LaunchEvent", "MigrationEvent", "PreemptionEvent",
+        "RequestReroutedEvent", "RequestShedEvent", "ShardAdmissionEvent",
+        "ShardDownEvent", "ShardRecoveredEvent", "SlotTransitionEvent",
+        "TelemetryEvent", "canonical_line", "event_from_dict", "event_kinds",
+    ),
+    "sinks": (
+        "FingerprintSink", "JsonlEventLogSink", "RecorderEventSink",
+        "StreamingAggregationSink",
+    ),
+    "replay": (
+        "iter_jsonl_payloads", "load_events", "read_event_log",
+        "replay_aggregation", "replay_notifications", "sniff_event_log",
+        "summarize_event_log",
+    ),
+})
 
 __all__ = [
     "ArrivalEvent",

@@ -20,29 +20,22 @@ compose:
 The CLI entry point is ``python -m repro verify [--fuzz N] [--seed S]``.
 """
 
-from .fuzz import (
-    FuzzCase,
-    REPRO_KIND,
-    ScenarioFuzzer,
-    cases_from_fleet_scenario,
-    cases_from_scenario,
-    is_repro_payload,
-    load_repro,
-    parse_repro_payload,
-    replay_case,
-    replay_repro,
-    save_repro,
-    shrink_case,
-)
-from .invariants import InvariantMonitor, Violation
-from .oracle import (
-    DifferentialOracle,
-    DivergenceReport,
-    KernelFingerprint,
-    instrumented_run,
-    trace_lines,
-)
-from .reference import KERNELS, ReferenceEngine, resolve_kernel
+from .. import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "fuzz": (
+        "FuzzCase", "ScenarioFuzzer", "cases_from_fleet_scenario",
+        "cases_from_scenario", "load_repro", "parse_repro_payload",
+        "replay_case", "replay_repro", "save_repro", "shrink_case",
+    ),
+    "invariants": ("InvariantMonitor", "Violation"),
+    "oracle": (
+        "DifferentialOracle", "DivergenceReport", "KernelFingerprint",
+        "instrumented_run", "trace_lines",
+    ),
+    "reference": ("KERNELS", "ReferenceEngine", "resolve_kernel"),
+    "repro_file": ("REPRO_KIND", "is_repro_payload"),
+})
 
 __all__ = [
     "DifferentialOracle",

@@ -21,6 +21,7 @@ from typing import List
 
 from ..campaign.scenario import SYSTEM_REGISTRY, get_scenario
 from ..fleet import FLEET_SCENARIOS, get_fleet_scenario
+from ..store.audit import run_store_audit
 from .fuzz import (
     FuzzCase,
     ScenarioFuzzer,
@@ -73,32 +74,9 @@ def _handle_failure(
     return path
 
 
-def _run_store_audit(path: str) -> int:
-    from .oracle import check_store
-
-    if not Path(path).exists():
-        print(f"error: store {path} does not exist", file=sys.stderr)
-        return 2
-    try:
-        findings = check_store(path)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if findings:
-        print(f"verify: store {path}: {len(findings)} finding(s)")
-        for finding in findings:
-            print(f"  FAIL {finding}", file=sys.stderr)
-        return 1
-    print(
-        f"verify: store {path}: notification log dense, snapshots "
-        "consistent, all projections equal a full rebuild"
-    )
-    return 0
-
-
 def run_verify_command(args: argparse.Namespace) -> int:
     if getattr(args, "store", None):
-        return _run_store_audit(args.store)
+        return run_store_audit(args.store)
     kernels = tuple(args.kernel) if getattr(args, "kernel", None) else DEFAULT_KERNELS
     bad_kernels = [
         name for name in kernels if name == "reference" or name not in KERNELS

@@ -38,12 +38,7 @@ from ..fleet import (
     supervised_partition,
 )
 from ..workloads.generator import Arrival, Condition, WorkloadSpec
-
-#: Marker distinguishing repro files from RunRecord JSONL results.
-REPRO_KIND = "verify-repro"
-
-#: Bumped whenever the repro file shape changes incompatibly.
-REPRO_SCHEMA = 1
+from .repro_file import REPRO_KIND, REPRO_SCHEMA, is_repro_payload
 
 #: Parameter overrides the fuzzer may inject, with the values it samples
 #: from.  Deliberately conservative: every combination must still drain
@@ -580,35 +575,6 @@ def save_repro(path: Union[str, Path], case: FuzzCase, report) -> Path:
     }
     target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return target
-
-
-def is_repro_payload(payload: object) -> bool:
-    """True when a parsed JSON document is a verify repro file."""
-    return isinstance(payload, dict) and payload.get("kind") == REPRO_KIND
-
-
-def sniff_repro_file(path: Union[str, Path]) -> Optional[Dict[str, object]]:
-    """The parsed repro payload when ``path`` is one, else None.
-
-    Cheap first: only a bounded prefix is read to rule out results JSONL
-    files (whose first line is one complete record, never a bare ``{``,
-    and which never contain the ``kind`` marker).  Only a plausible repro
-    is then parsed in full; the marker separates repros from any other
-    single-document JSON.
-    """
-    target = Path(path)
-    with target.open("r", encoding="utf-8") as handle:
-        prefix = handle.read(4096)
-    if not prefix.lstrip().startswith("{"):
-        return None
-    first_line = prefix.splitlines()[0].strip()
-    if first_line != "{" and f'"kind": "{REPRO_KIND}"' not in prefix:
-        return None
-    try:
-        payload = json.loads(target.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError):
-        return None
-    return payload if is_repro_payload(payload) else None
 
 
 def parse_repro_payload(

@@ -28,6 +28,7 @@ from ..campaign.results import COUNTER_FIELDS
 from ..config import SystemParameters
 from ..metrics.utilization import UtilizationTracker
 from ..sim import Engine, Tracer
+from ..store.audit import check_store  # noqa: F401  (re-exported)
 from ..telemetry import FingerprintSink, TelemetryBus
 from ..workloads.generator import Arrival
 from .invariants import InvariantMonitor
@@ -400,68 +401,3 @@ class DifferentialOracle:
                     report.first_trace_divergence = divergence
                     break
         return report
-
-
-def check_store(store_or_path) -> List[str]:
-    """Audit a durable event store's integrity and projections.
-
-    Three layers of checks, each reported as a human-readable finding
-    string (empty list = clean):
-
-    * **log shape** — notification ids must be dense and strictly
-      increasing from 1 (the recorder contract; a gap means a torn or
-      hand-edited log);
-    * **snapshot consistency** — every snapshot's completed-cell keys
-      must be backed by a successful record at or before its watermark;
-    * **projection oracle** — every built-in projection's persisted
-      incremental state must equal a from-scratch rebuild of the whole
-      log (:func:`repro.store.projections.verify_store_projections`).
-    """
-    from ..campaign.results import RunRecord
-    from ..store import KIND_RECORD, KIND_SNAPSHOT, as_campaign_store, cell_key
-    from ..store.projections import verify_store_projections
-    from ..store.snapshot import CampaignSnapshot
-
-    store = as_campaign_store(store_or_path)
-    findings: List[str] = []
-
-    notifications = store.select()
-    expected = 1
-    for notification in notifications:
-        if notification.id != expected:
-            findings.append(
-                f"notification log gap: expected id {expected}, "
-                f"found {notification.id}"
-            )
-            expected = notification.id
-        expected += 1
-
-    completed_by_id: dict = {}
-    seen_keys: set = set()
-    for notification in notifications:
-        if notification.kind == KIND_RECORD:
-            record = RunRecord.from_dict(notification.payload)
-            if not record.failed:
-                seen_keys.add(cell_key(record))
-            completed_by_id[notification.id] = set(seen_keys)
-        elif notification.kind == KIND_SNAPSHOT:
-            snapshot = CampaignSnapshot.from_dict(notification.payload)
-            covered = completed_by_id.get(
-                max(
-                    (i for i in completed_by_id if i <= snapshot.covered_id),
-                    default=0,
-                ),
-                set(),
-            )
-            missing = [k for k in snapshot.completed if k not in covered]
-            if missing:
-                findings.append(
-                    f"snapshot (notification {notification.id}) claims "
-                    f"{len(missing)} completed cell(s) with no backing "
-                    f"record at or before id {snapshot.covered_id}: "
-                    + ", ".join(missing[:3])
-                    + ("..." if len(missing) > 3 else "")
-                )
-
-    findings.extend(verify_store_projections(store))
-    return findings

@@ -1,18 +1,16 @@
 """Workload generation, arrival driving and trace record/replay."""
 
-from .generator import (
-    BATCH_RANGE,
-    Arrival,
-    Condition,
-    WorkloadGenerator,
-    WorkloadSpec,
-    drive,
-    instantiate,
-    total_work_ms,
-)
-from .phases import Phase, PhasedWorkload, poisson_sequence, ramp_workload
-from .sampling import BatchSampler
-from .trace import dumps, load, loads, save
+from .. import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "generator": (
+        "BATCH_RANGE", "Arrival", "Condition", "WorkloadGenerator",
+        "WorkloadSpec", "drive", "instantiate", "total_work_ms",
+    ),
+    "phases": ("Phase", "PhasedWorkload", "poisson_sequence", "ramp_workload"),
+    "sampling": ("BatchSampler",),
+    "trace": ("dumps", "load", "loads", "save"),
+})
 
 __all__ = [
     "Arrival",

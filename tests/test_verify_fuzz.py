@@ -19,7 +19,8 @@ from repro.verify import (
     save_repro,
     shrink_case,
 )
-from repro.verify.fuzz import cases_from_scenario, sniff_repro_file
+from repro.verify.fuzz import cases_from_scenario
+from repro.verify.repro_file import sniff_repro_file
 
 DATA = Path(__file__).parent / "data"
 
