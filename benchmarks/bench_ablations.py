@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for VersaSlot's design choices.
 
 * **Dual-core decoupling** — the VersaSlot allocation policy run single-
   core (i.e. Nimblock) vs dual-core (VersaSlot-OL): isolates the PR-server

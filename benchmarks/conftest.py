@@ -3,7 +3,7 @@
 Every bench regenerates one of the paper's figures on a reduced-but-
 representative configuration (fewer random sequences than the paper's ten,
 so the suite completes in minutes) and prints the measured values next to
-the paper's, for EXPERIMENTS.md.
+the paper's.
 """
 
 import pytest

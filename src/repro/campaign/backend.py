@@ -30,7 +30,7 @@ from ..config import DEFAULT_PARAMETERS, SystemParameters
 from ..fpga.board import FPGABoard
 from ..metrics.utilization import UtilizationTracker
 from ..schedulers.base import SchedulerStats
-from ..sim import DEFAULT_ENGINE, Engine, Tracer
+from ..sim import Engine, Tracer
 from ..telemetry import (
     JsonlEventLogSink,
     StreamingAggregationSink,
@@ -118,16 +118,15 @@ def simulate_run(
 
     ``engine_factory`` swaps the simulation kernel (the verify layer runs
     the same cell on the optimized and the reference kernel); when omitted
-    the production default (:data:`repro.sim.DEFAULT_ENGINE`, the timing
-    wheel) is used.  ``tracer``, ``telemetry`` and ``instruments`` attach
-    observability before the workload starts.  Attach every sink to the
-    bus before passing it in: slot observation is only installed when a
-    sink wants slot events.
+    the production :class:`~repro.sim.Engine` is used.  ``tracer``,
+    ``telemetry`` and ``instruments`` attach observability before the
+    workload starts.  Attach every sink to the bus before passing it in:
+    slot observation is only installed when a sink wants slot events.
     """
     spec = get_system(system)
     resolved = params if params is not None else DEFAULT_PARAMETERS
     reset_instance_ids()
-    engine = engine_factory() if engine_factory is not None else DEFAULT_ENGINE()
+    engine = engine_factory() if engine_factory is not None else Engine()
     board = FPGABoard(engine, spec.board_config, resolved, name="eval")
     if tracer is not None:
         # Keyword, not positional: OnBoardScheduler subclasses registered
@@ -186,8 +185,10 @@ class CampaignCell:
     arrivals: Optional[Tuple[Arrival, ...]] = None
     horizon_ms: float = DEFAULT_HORIZON_MS
     #: Simulation kernel to run on (a ``repro.verify.reference.KERNELS``
-    #: name); "default" is the production wheel kernel, and the verify
-    #: layer runs the same cell on several kernels and diffs the outcomes.
+    #: name); "default" is the production :class:`~repro.sim.Engine`, and
+    #: the verify layer runs the same cell on the reference kernel too and
+    #: diffs the outcomes.  Event-log headers and store snapshot
+    #: fingerprints persist the name.
     kernel: str = "default"
     #: Fleet shard index this cell simulates; -1 for non-fleet cells.
     shard: int = -1

@@ -26,7 +26,7 @@ from ..metrics.report import format_table
 from ..metrics.utilization import UtilizationTracker, bundling_gain, ic_detail
 from ..apps.application import ApplicationInstance, reset_instance_ids
 from ..schedulers.nimblock import NimblockScheduler
-from ..sim import DEFAULT_ENGINE
+from ..sim import Engine
 
 #: Fig. 7 left-panel values from the paper (percent increase).
 PAPER_FIG7: Dict[str, Tuple[float, float]] = {
@@ -112,7 +112,7 @@ def run_fig7_dynamic(
         (VersaSlotBigLittle, BoardConfig.BIG_LITTLE),
     ):
         reset_instance_ids()
-        engine = DEFAULT_ENGINE()
+        engine = Engine()
         board = FPGABoard(engine, config, params, name="fig7")
         tracker = UtilizationTracker(board)
         scheduler = scheduler_cls(board, params)

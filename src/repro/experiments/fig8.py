@@ -9,8 +9,8 @@ an average switching overhead of ~1.13 ms.
 
 The paper drives this with three 80-application workloads at standard
 intervals on real hardware; on the simulator the same PR-contention level
-is reached with a denser long-run interval (see EXPERIMENTS.md), which is
-exposed as a parameter.
+is reached with a denser long-run interval, exposed as the
+``interval_range`` parameter.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from ..core.versaslot import make_versaslot
 from ..fpga.slots import BoardConfig
 from ..metrics.report import format_series, sparkline
 from ..metrics.response import ResponseStats
-from ..sim import DEFAULT_ENGINE
+from ..sim import Engine
 from ..workloads.generator import Arrival, Condition, drive
 from .runner import RUN_HORIZON_MS, record_to_run_result
 
@@ -117,7 +117,7 @@ def run_cluster(
     if params is None:
         params = DEFAULT_PARAMETERS
     reset_instance_ids()
-    engine = DEFAULT_ENGINE()
+    engine = Engine()
     cluster = FPGACluster(
         engine,
         scheduler_factory=lambda board, p, tracer: make_versaslot(board, p, tracer),

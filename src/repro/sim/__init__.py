@@ -5,19 +5,10 @@ from .events import AllOf, AnyOf, Event, Interrupt, Process, Timeout
 from .resources import Request, Resource, Store
 from .rng import SeededStreams, derive_seed
 from .trace import NULL_TRACER, TraceRecord, Tracer
-from .wheel import WheelEngine
-
-#: The kernel production entry points instantiate when the caller does not
-#: pick one (``simulate_run``, campaigns, fleet, fuzzing).  The wheel is
-#: bit-identical to :class:`Engine` by construction (the oracle enforces
-#: it), so this is purely a performance default; ``--kernel heap`` still
-#: selects the binary-heap kernel everywhere.
-DEFAULT_ENGINE = WheelEngine
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "DEFAULT_ENGINE",
     "EmptySchedule",
     "Engine",
     "Event",
@@ -31,6 +22,5 @@ __all__ = [
     "Timeout",
     "TraceRecord",
     "Tracer",
-    "WheelEngine",
     "derive_seed",
 ]

@@ -118,12 +118,7 @@ class Engine:
         return self._heap[0][0] if self._heap else float("inf")
 
     def pending_count(self) -> int:
-        """Number of scheduled entries the engine still holds.
-
-        Backend-neutral: calendar kernels (:class:`~repro.sim.wheel.\
-WheelEngine`) override this to count every custody stage, so invariant
-        checkers must use it instead of reading ``_heap``.
-        """
+        """Number of scheduled entries the engine still holds."""
         return len(self._heap)
 
     def _dispatch(self, event: Event) -> None:

@@ -31,13 +31,6 @@ from .fuzz import (
     shrink_case,
 )
 from .oracle import DifferentialOracle, DivergenceReport
-from .reference import KERNELS
-
-#: Candidate kernels the default sweep compares against the reference:
-#: the bucketed timing-wheel kernel (first: it is the production default,
-#: so it is the candidate-of-record a report's headline numbers cite) and
-#: the optimized heap kernel.
-DEFAULT_KERNELS = ("wheel", "optimized")
 
 
 def _check_case(oracle: DifferentialOracle, case: FuzzCase) -> DivergenceReport:
@@ -77,19 +70,7 @@ def _handle_failure(
 def run_verify_command(args: argparse.Namespace) -> int:
     if getattr(args, "store", None):
         return run_store_audit(args.store)
-    kernels = tuple(args.kernel) if getattr(args, "kernel", None) else DEFAULT_KERNELS
-    bad_kernels = [
-        name for name in kernels if name == "reference" or name not in KERNELS
-    ]
-    if bad_kernels:
-        candidates = ", ".join(name for name in KERNELS if name != "reference")
-        print(
-            f"error: invalid candidate kernel(s) {', '.join(bad_kernels)}; "
-            f"the reference is always the baseline — pick from: {candidates}",
-            file=sys.stderr,
-        )
-        return 2
-    oracle = DifferentialOracle(kernels=kernels)
+    oracle = DifferentialOracle()
     unknown_systems = [
         name for name in (args.system or ()) if name not in SYSTEM_REGISTRY
     ]
@@ -146,7 +127,7 @@ def run_verify_command(args: argparse.Namespace) -> int:
                 )
                 return 2
         banner = f"sweeping scenario {scenario.name!r}: {len(cases)} cells"
-    print(f"verify: {banner}; reference vs {' vs '.join(kernels)} kernel")
+    print(f"verify: {banner}; reference vs optimized kernel")
 
     failures = 0
     checked = 0

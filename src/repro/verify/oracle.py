@@ -8,12 +8,11 @@ captures everything model code can observe: the canonical trace, response
 records with finish times, scheduler counters, PCAP statistics and the
 utilization aggregates.
 
-:class:`DifferentialOracle` runs the same cell on the reference kernel and
-on each *candidate* kernel (by default just the optimized heap kernel; the
-CLI sweeps heap and wheel together) and diffs the fingerprints field by
-field.  Floats are compared *exactly*: the kernels are required to be
-bit-identical, not just statistically close — any reordering of same-time
-events shows up as a trace divergence long before it shifts an aggregate.
+:class:`DifferentialOracle` runs the same cell on the reference and the
+optimized kernel and diffs the fingerprints field by field.  Floats are
+compared *exactly*: the kernels are required to be bit-identical, not just
+statistically close — any reordering of same-time events shows up as a
+trace divergence long before it shifts an aggregate.
 """
 
 from __future__ import annotations
@@ -223,11 +222,6 @@ class DivergenceReport:
     system: str
     reference: KernelFingerprint
     optimized: KernelFingerprint
-    #: Every candidate fingerprint compared against the reference.  In the
-    #: classic two-way comparison this is just ``[optimized]``; the N-way
-    #: sweep appends one entry per kernel (``optimized`` stays bound to
-    #: the first candidate for compatibility).
-    candidates: List[KernelFingerprint] = field(default_factory=list)
     fields: List[FieldDivergence] = field(default_factory=list)
     #: ``(index, reference_line, optimized_line)`` of the first trace
     #: record the kernels disagree on (a missing line reads as None).
@@ -243,11 +237,9 @@ class DivergenceReport:
 
     @property
     def violations(self) -> List[str]:
-        """Invariant violations from any kernel (tagged by kernel)."""
+        """Invariant violations from either kernel (tagged by kernel)."""
         out = []
-        fingerprints = [self.reference]
-        fingerprints.extend(self.candidates if self.candidates else [self.optimized])
-        for fingerprint in fingerprints:
+        for fingerprint in (self.reference, self.optimized):
             out.extend(f"{fingerprint.kernel}: {v}" for v in fingerprint.violations)
         out.extend(f"serving-plan: {v}" for v in self.plan_violations)
         return out
@@ -315,22 +307,10 @@ def _first_trace_divergence(
 
 
 class DifferentialOracle:
-    """Run one cell on every kernel and demand bit-identical outcomes.
-
-    The reference runs once per cell; each *candidate* kernel is diffed
-    against that single reference fingerprint.  ``kernels`` names the
-    candidates (resolved through the registry); the default is the classic
-    two-way heap-vs-reference comparison, and the verify CLI passes
-    ``("wheel", "optimized")`` for the three-way sweep (wheel first: the
-    production default is the candidate-of-record, so ``optimized`` —
-    and with it a report's headline numbers — binds to it).  With more than
-    one candidate, divergence field names are tagged ``kernel:field`` so a
-    failing sweep says which backend broke.
+    """Run one cell on both kernels and demand bit-identical outcomes.
 
     The factories are injectable so tests can swap a deliberately broken
-    kernel in for either side and assert the oracle catches it;
-    ``optimized_factory`` overrides the registry lookup for the
-    ``optimized`` candidate only.
+    kernel in for either side and assert the oracle catches it.
     """
 
     def __init__(
@@ -338,19 +318,10 @@ class DifferentialOracle:
         optimized_factory: Optional[Callable[[], Engine]] = None,
         reference_factory: Optional[Callable[[], Engine]] = None,
         horizon_ms: float = DEFAULT_HORIZON_MS,
-        kernels: Sequence[str] = ("optimized",),
     ) -> None:
-        if not kernels:
-            raise ValueError("at least one candidate kernel is required")
         self.optimized_factory = optimized_factory or Engine
         self.reference_factory = reference_factory or ReferenceEngine
         self.horizon_ms = horizon_ms
-        self.kernels = tuple(kernels)
-
-    def _candidate_factory(self, name: str) -> Callable[[], Engine]:
-        if name == "optimized":
-            return self.optimized_factory
-        return resolve_kernel(name)
 
     def check(
         self,
@@ -366,38 +337,24 @@ class DifferentialOracle:
             engine_factory=self.reference_factory,
             horizon_ms=self.horizon_ms,
         )
-        candidates = [
-            instrumented_run(
-                system,
-                arrivals,
-                params,
-                kernel=name,
-                engine_factory=self._candidate_factory(name),
-                horizon_ms=self.horizon_ms,
-            )
-            for name in self.kernels
-        ]
-        report = DivergenceReport(
-            system=system,
-            reference=reference,
-            optimized=candidates[0],
-            candidates=candidates,
+        optimized = instrumented_run(
+            system,
+            arrivals,
+            params,
+            kernel="optimized",
+            engine_factory=self.optimized_factory,
+            horizon_ms=self.horizon_ms,
         )
+        report = DivergenceReport(system=system, reference=reference, optimized=optimized)
         ref_fields = reference.comparable()
-        for candidate in candidates:
-            cand_fields = candidate.comparable()
-            tag = "" if len(candidates) == 1 else f"{candidate.kernel}:"
-            for name in KernelFingerprint.COMPARED:
-                if ref_fields[name] != cand_fields[name]:
-                    report.fields.append(
-                        FieldDivergence(
-                            f"{tag}{name}", ref_fields[name], cand_fields[name]
-                        )
-                    )
+        opt_fields = optimized.comparable()
+        for name in KernelFingerprint.COMPARED:
+            if ref_fields[name] != opt_fields[name]:
+                report.fields.append(
+                    FieldDivergence(name, ref_fields[name], opt_fields[name])
+                )
         if report.diverged:
-            for candidate in candidates:
-                divergence = _first_trace_divergence(reference, candidate)
-                if divergence is not None:
-                    report.first_trace_divergence = divergence
-                    break
+            report.first_trace_divergence = _first_trace_divergence(
+                reference, optimized
+            )
         return report

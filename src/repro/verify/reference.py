@@ -30,7 +30,6 @@ from typing import Any, Callable, Dict, Optional
 
 from ..sim.engine import Engine
 from ..sim.events import Timeout
-from ..sim.wheel import WheelEngine
 
 
 class ReferenceEngine(Engine):
@@ -69,17 +68,12 @@ class ReferenceEngine(Engine):
 
 
 #: Named kernels the campaign/verify layers can run a scenario on.
-#: ``heap`` is an alias for ``optimized`` (the heapq-calendar kernel), so
-#: bench/verify invocations can say ``--compare wheel,heap`` and mean the
-#: backend by its data structure rather than its history.  ``default``
-#: names whatever kernel production entry points use when no ``--kernel``
-#: is given — currently the wheel — so campaign snapshots and CLI flags
-#: stay meaningful if the default ever moves again.
+#: ``default`` is what production entry points use; campaign cells and
+#: store snapshot fingerprints persist that name, so it stays registered
+#: even though it names the same engine as ``optimized``.
 KERNELS: Dict[str, Callable[[], Engine]] = {
-    "default": WheelEngine,
+    "default": Engine,
     "optimized": Engine,
-    "heap": Engine,
-    "wheel": WheelEngine,
     "reference": ReferenceEngine,
 }
 

@@ -231,18 +231,17 @@ class TestCampaignPayloads:
         assert bench._bench_fleet_short_cells() > 0
 
     def test_kernel_name_round_trips_registry_factories(self):
-        from repro.sim import Engine, WheelEngine
+        from repro.sim import Engine
         from repro.verify.reference import ReferenceEngine
 
         assert bench._kernel_name(None) == "default"
-        assert bench._kernel_name(WheelEngine) == "wheel"
-        assert bench._kernel_name(Engine) == "heap"
+        assert bench._kernel_name(Engine) == "optimized"
         assert bench._kernel_name(ReferenceEngine) == "reference"
         with pytest.raises(KeyError):
             bench._kernel_name(object)
 
     def test_compare_result_records_rounds(self):
-        results = bench.run_compare("wheel", "heap", rounds=1)
+        results = bench.run_compare("optimized", "reference", rounds=1)
         assert results and all(r.rounds == 1 for r in results)
         table = bench.format_compare_table(results)
         assert "1 rounds" in table

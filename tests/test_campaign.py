@@ -25,6 +25,7 @@ from repro.campaign import (
     register_system,
     simulate_run,
 )
+from repro.campaign.backend import _SEQUENCE_CACHE, make_backend
 from repro.config import DEFAULT_PARAMETERS
 from repro.experiments import Fig5Result, run_fig5, run_sequence
 from repro.fpga import BoardConfig
@@ -392,6 +393,68 @@ class TestBackends:
     def test_jobs_validation(self):
         with pytest.raises(ValueError):
             ProcessBackend(jobs=0)
+
+    def test_default_cell_kernel_resolves_to_default_engine(self):
+        cell = CampaignCell(
+            scenario="t", system="FCFS", sequence_index=0, seed=0,
+            params=DEFAULT_PARAMETERS,
+            workload=WorkloadSpec(condition=Condition.LOOSE, n_apps=1),
+        )
+        assert cell.kernel == "default"
+        assert cell.engine_factory() is None  # None = the production Engine
+
+
+def _mini_fuzz_cells():
+    """25 seeds x 2 systems over one shared spec (the cell-reuse shape)."""
+    spec = WorkloadSpec(condition=Condition.LOOSE, n_apps=2, sequence_count=1)
+    return [
+        CampaignCell(
+            scenario="mini-fuzz", system=system, sequence_index=0, seed=seed,
+            params=DEFAULT_PARAMETERS, workload=spec,
+        )
+        for seed in range(25)
+        for system in ("Baseline", "VersaSlot-BL")
+    ]
+
+
+def _record_bytes(records):
+    return [json.dumps(r.to_dict(), sort_keys=True) for r in records]
+
+
+class TestCellReuse:
+    def test_cold_start_and_warm_cache_are_bit_identical(self):
+        _SEQUENCE_CACHE.clear()
+        cold = SerialBackend().run(_mini_fuzz_cells())
+        assert _SEQUENCE_CACHE  # the run populated the cache...
+        warm = SerialBackend().run(_mini_fuzz_cells())  # ...and reuses it
+        assert _record_bytes(cold) == _record_bytes(warm)
+
+    def test_serial_and_parallel_are_bit_identical_with_reuse(self):
+        cells = _mini_fuzz_cells()
+        serial = SerialBackend().run(cells)
+        parallel = make_backend(2).run(cells)
+        assert _record_bytes(serial) == _record_bytes(parallel)
+
+    def test_cache_is_keyed_by_value_not_identity(self):
+        _SEQUENCE_CACHE.clear()
+        spec_a = WorkloadSpec(condition=Condition.LOOSE, n_apps=2)
+        spec_b = WorkloadSpec(condition=Condition.LOOSE, n_apps=2)
+        assert spec_a is not spec_b
+        cell_a = CampaignCell(
+            scenario="t", system="FCFS", sequence_index=0, seed=7,
+            params=DEFAULT_PARAMETERS, workload=spec_a,
+        )
+        cell_b = CampaignCell(
+            scenario="t", system="FCFS", sequence_index=0, seed=7,
+            params=DEFAULT_PARAMETERS, workload=spec_b,
+        )
+        first = cell_a.resolve_arrivals()
+        assert len(_SEQUENCE_CACHE) == 1
+        second = cell_b.resolve_arrivals()
+        # Equal specs share one entry: the fingerprint is the spec's
+        # value, never its id().
+        assert len(_SEQUENCE_CACHE) == 1
+        assert first == second
 
 
 class TestCampaignCLI:

@@ -483,9 +483,10 @@ class TestChaosFuzzing:
 # Kernel bit-identity under faults
 # ---------------------------------------------------------------------------
 class TestKernelIdentityUnderFaults:
-    def test_fleet_chaos_sweeps_clean_on_heap_and_wheel(self, capsys):
+    def test_fleet_chaos_sweeps_clean_against_reference(self, capsys):
         from repro.cli import main
 
         assert main(["verify", "--scenario", "fleet-chaos"]) == 0
         out = capsys.readouterr().out
+        assert "reference vs optimized kernel" in out
         assert "bit-identical across kernels" in out

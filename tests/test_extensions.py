@@ -256,3 +256,18 @@ class TestCLI:
     def test_fig5_tiny(self, capsys):
         assert cli_main(["fig5", "--sequences", "1", "--apps", "4"]) == 0
         assert "VersaSlot-BL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--rounds", "0"],
+        ["bench", "--rounds", "-1"],
+        ["bench", "--compare", "optimized,reference", "--rounds", "0"],
+        ["fig5", "--sequences", "0"],
+        ["fig6", "--sequences", "0"],
+        ["fig5", "--apps", "0"],
+        ["fig8", "--apps", "0"],
+    ])
+    def test_zero_count_is_an_operator_error(self, argv, capsys):
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --") and err.count("\n") == 1
+        assert "Traceback" not in err

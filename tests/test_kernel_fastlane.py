@@ -5,11 +5,14 @@ yields, pooled sleeps, incremental run-state) must be *invisible* to model
 code: these tests pin the kernel's observable behaviour against golden
 fingerprints captured from the pre-overhaul seed kernel
 (``tests/data/golden_kernel.json`` / ``golden_kernel_stress.json``), so
-any event reordering — however subtle — fails loudly.
+any event reordering — however subtle — fails loudly.  The closing
+sections run calendar edge cases and a seeded mini-fuzz on both the
+production and the reference kernel.
 """
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -23,6 +26,7 @@ from repro.fpga import BoardConfig, FPGABoard
 from repro.sim import (
     AllOf,
     AnyOf,
+    EmptySchedule,
     Engine,
     Event,
     Interrupt,
@@ -33,6 +37,7 @@ from repro.sim import (
 )
 from repro.sim.engine import PooledTimeout
 from repro.verify.oracle import trace_lines
+from repro.verify.reference import ReferenceEngine
 from repro.workloads import Condition, WorkloadGenerator, drive
 
 DATA = Path(__file__).parent / "data"
@@ -500,3 +505,253 @@ class TestRequestWaitAccounting:
         engine.run()
         assert resource.total_wait_time == 0.0
         assert resource.total_grants == 2
+
+
+# ----------------------------------------------------------------------
+# Calendar semantics, on the production and the reference kernel
+# ----------------------------------------------------------------------
+BOTH_KERNELS = pytest.mark.parametrize(
+    "engine_cls", [Engine, ReferenceEngine], ids=lambda cls: cls.__name__
+)
+
+
+def _wake_log(engine_cls, delays):
+    """One process per delay, logging (now, tag) on wake."""
+    engine = engine_cls()
+    log = []
+
+    def waiter(tag, delay):
+        yield engine.timeout(delay)
+        log.append((engine.now, tag))
+
+    for tag, delay in enumerate(delays):
+        engine.process(waiter(tag, delay))
+    engine.run()
+    return log
+
+
+class TestCalendarSemantics:
+    @BOTH_KERNELS
+    def test_grid_delays_dispatch_in_time_order(self, engine_cls):
+        delays = [float(i) for i in range(65)]
+        assert _wake_log(engine_cls, delays) == [
+            (float(tag), tag) for tag in range(65)
+        ]
+
+    @BOTH_KERNELS
+    def test_same_time_burst_is_fifo(self, engine_cls):
+        log = _wake_log(engine_cls, [5.0] * 40)
+        assert log == [(5.0, tag) for tag in range(40)]
+
+    @BOTH_KERNELS
+    def test_urgent_interrupt_beats_same_time_wake(self, engine_cls):
+        """An interrupt raised at t=5 outranks its victim's t=5 timeout."""
+        engine = engine_cls()
+        log = []
+        victim_ref = []
+
+        def interrupter():
+            # Created first, so its t=5 timeout dispatches before the
+            # victim's and the interrupt lands while that entry is queued.
+            yield engine.timeout(5.0)
+            victim_ref[0].interrupt("cut")
+
+        def victim():
+            try:
+                yield engine.timeout(5.0)
+                log.append((engine.now, "woke"))
+            except Interrupt as exc:
+                log.append((engine.now, "interrupted", str(exc.cause)))
+            yield engine.timeout(1.0)  # waiting again still works
+            log.append((engine.now, "slept-again"))
+
+        def far():
+            yield engine.timeout(9.0)
+            log.append((engine.now, "far"))
+
+        engine.process(interrupter())
+        victim_ref.append(engine.process(victim()))
+        engine.process(far())
+        engine.run()
+        assert log == [
+            (5.0, "interrupted", "cut"),
+            (6.0, "slept-again"),
+            (9.0, "far"),
+        ]
+
+    @BOTH_KERNELS
+    def test_detached_timeout_is_harmless(self, engine_cls):
+        """An interrupt-abandoned timeout dispatches with no waiters."""
+        engine = engine_cls()
+        log = []
+
+        def sleeper():
+            try:
+                yield engine.timeout(100.0)
+                log.append("woke-early")
+            except Interrupt as exc:
+                log.append(("interrupted", engine.now, exc.cause))
+            return "ok"
+
+        process = engine.process(sleeper())
+
+        def interrupter():
+            yield engine.timeout(10.0)
+            process.interrupt("stop")
+
+        engine.process(interrupter())
+        engine.run()
+        assert log == [("interrupted", 10.0, "stop")]
+        assert process.value == "ok"
+        # The abandoned t=100 timeout still advanced the clock.
+        assert engine.now == 100.0
+        assert engine.pending_count() == 0
+
+    @BOTH_KERNELS
+    def test_peek_step_pending_count(self, engine_cls):
+        engine = engine_cls()
+        assert engine.peek() == float("inf")
+        assert engine.pending_count() == 0
+        fired = []
+        for delay in (3.0, 1.0, 2.0):
+            engine.timeout(delay).callbacks.append(
+                lambda event, d=delay: fired.append(d)
+            )
+        assert engine.pending_count() == 3
+        assert engine.peek() == 1.0
+        engine.step()
+        assert (engine.now, fired) == (1.0, [1.0])
+        assert engine.peek() == 2.0
+        assert engine.pending_count() == 2
+        engine.step()
+        engine.step()
+        assert fired == [1.0, 2.0, 3.0]
+        with pytest.raises(EmptySchedule):
+            engine.step()
+
+    @BOTH_KERNELS
+    def test_until_horizon_put_back_and_resume(self, engine_cls):
+        engine = engine_cls()
+        log = []
+
+        def proc(tag, delay, n):
+            for i in range(n):
+                yield engine.timeout(delay)
+                log.append((engine.now, tag, i))
+
+        engine.process(proc("a", 2.0, 6))
+        engine.process(proc("b", 3.0, 4))
+        engine.run(until=5.0)
+        # The clock parks exactly at the horizon; the two t=6 entries
+        # beyond it stay queued.
+        assert engine.now == 5.0
+        assert engine.pending_count() == 2
+        assert log == [(2.0, "a", 0), (3.0, "b", 0), (4.0, "a", 1)]
+        engine.run()
+        assert log[3:] == [
+            (6.0, "b", 1), (6.0, "a", 2), (8.0, "a", 3), (9.0, "b", 2),
+            (10.0, "a", 4), (12.0, "b", 3), (12.0, "a", 5),
+        ]
+        assert engine.now == 12.0
+
+    @BOTH_KERNELS
+    def test_timeout_parked_beyond_horizon_resumes(self, engine_cls):
+        engine = engine_cls()
+        timeout = engine.timeout(10.0)
+        engine.run(until=4.0)
+        assert engine.now == 4.0
+        assert engine.pending_count() == 1
+        assert engine.peek() == 10.0
+        fired = []
+        timeout.callbacks.append(lambda event: fired.append(engine.now))
+        engine.run()
+        assert fired == [10.0]
+        assert engine.pending_count() == 0
+
+    @BOTH_KERNELS
+    def test_far_future_timeout_after_horizon(self, engine_cls):
+        engine = engine_cls()
+        log = []
+
+        def near(tag, delay):
+            yield engine.timeout(delay)
+            log.append((engine.now, tag))
+
+        def far():
+            yield engine.timeout(0.5)
+            yield engine.timeout(1000.0)
+            log.append((engine.now, "far"))
+
+        engine.process(near("a", 1.0))
+        engine.process(near("b", 2.0))
+        engine.process(far())
+        engine.run(until=0.75)
+        engine.run()
+        assert log == [(1.0, "a"), (2.0, "b"), (1000.5, "far")]
+        assert engine.now == 1000.5
+
+
+# ----------------------------------------------------------------------
+# Seeded differential mini-fuzz: Engine and ReferenceEngine, identical logs
+# ----------------------------------------------------------------------
+def _random_scenario(engine, seed):
+    """A randomized pure-kernel scenario logging every observable resume."""
+    rng = random.Random(seed)
+    log = []
+    resource = Resource(engine, capacity=rng.randint(1, 3), name="r")
+    interruptees = []
+
+    def looper(tag):
+        for i in range(rng.randint(1, 6)):
+            choice = rng.random()
+            if choice < 0.4:
+                yield engine.timeout(rng.choice([0.5, 1.0, 1.0, 2.5, 40.0]))
+            elif choice < 0.6:
+                yield float(rng.randint(0, 3))  # bare delay
+            elif choice < 0.8:
+                request = resource.acquire()
+                yield request
+                yield engine.timeout(1.0)
+                resource.release()
+            elif choice < 0.9:
+                yield AllOf(
+                    engine, [engine.timeout(1.0), engine.timeout(rng.choice([1.0, 2.0]))]
+                )
+            else:
+                first = yield AnyOf(
+                    engine, [engine.timeout(1.0, "x"), engine.timeout(3.0, "y")]
+                )
+                log.append((engine.now, tag, "first", first))
+            log.append((engine.now, tag, i))
+
+    def sleeper(tag):
+        try:
+            yield engine.timeout(rng.choice([8.0, 50.0]))
+            log.append((engine.now, tag, "woke"))
+        except Interrupt as exc:
+            log.append((engine.now, tag, "interrupted", str(exc.cause)))
+
+    for k in range(rng.randint(2, 7)):
+        engine.process(looper(f"p{k}"))
+    for k in range(rng.randint(0, 2)):
+        interruptees.append(engine.process(sleeper(f"s{k}")))
+
+    def interrupter():
+        yield engine.timeout(rng.choice([1.0, 4.0]))
+        for victim in interruptees:
+            victim.interrupt("stop")
+
+    if interruptees and rng.random() < 0.8:
+        engine.process(interrupter())
+    horizon = rng.choice([None, None, 20.0])
+    engine.run(until=horizon)
+    engine.run()
+    return log, engine.now
+
+
+class TestDifferentialMiniFuzz:
+    @pytest.mark.parametrize("seed", range(25))
+    def test_engine_matches_reference(self, seed):
+        assert _random_scenario(Engine(), seed) == _random_scenario(
+            ReferenceEngine(), seed
+        )

@@ -19,6 +19,7 @@ from repro.apps import reset_instance_ids
 from repro.experiments.runner import SYSTEMS
 from repro.sim import Engine, Interrupt
 from repro.verify import (
+    KERNELS,
     DifferentialOracle,
     ReferenceEngine,
     ScenarioFuzzer,
@@ -74,6 +75,21 @@ class TestReferenceFullStack:
     def test_resolve_kernel_unknown(self):
         with pytest.raises(KeyError, match="unknown kernel"):
             resolve_kernel("quantum")
+
+    def test_registry_names_one_production_engine(self):
+        assert KERNELS == {
+            "default": Engine,
+            "optimized": Engine,
+            "reference": ReferenceEngine,
+        }
+
+    def test_verify_has_no_kernel_flag(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--kernel", "optimized"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --kernel" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -188,6 +204,17 @@ class TestInjectedBugs:
         assert not replayed.ok, "repro must reproduce the failure"
         clean = replay_repro(path)  # the real kernels still agree
         assert clean.ok, clean.summary()
+
+    def test_broken_optimized_kernel_is_caught(self):
+        """A skewed kernel injected as the optimized side diverges."""
+        oracle = DifferentialOracle(optimized_factory=SleepSkewEngine)
+        arrivals = WorkloadGenerator(5).sequence(Condition.STRESS, n_apps=4)
+        report = oracle.check("Nimblock", arrivals)
+        assert report.diverged
+        assert report.optimized.kernel == "optimized"
+        names = {divergence.name for divergence in report.fields}
+        assert "trace_sha256" in names
+        assert "optimized=" in report.summary().splitlines()[1]
 
     def test_divergent_report_names_first_trace_record(self):
         oracle = DifferentialOracle(reference_factory=SleepSkewEngine)

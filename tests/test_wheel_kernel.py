@@ -1,372 +1,12 @@
-"""The timing-wheel kernel: goldens, edge cases, and differential replay.
+"""Stress-golden replay ids kept from the retired timing-wheel suite.
 
-Three layers, mirroring ``tests/test_kernel_fastlane.py``:
-
-* the wheel kernel replays the seed goldens unchanged (both in its
-  everyday slot-register regime and with bucket custody forced via a
-  threshold-1 subclass);
-* white-box edge cases pin the calendar machinery — bucket boundaries,
-  overflow promotion, urgent interrupts merged into a draining bucket,
-  the until-horizon put-back — against the heap kernel;
-* a seeded mini differential fuzz runs randomized pure-kernel scenarios
-  on every backend and demands identical logs.
+The timing-wheel kernel is gone; ``repro.sim.Engine`` is the one
+production kernel. This module used to collect the seed-kernel stress
+golden (``TestGoldenKernelStress``) next to its wheel variants, and it
+still does, so those test ids keep running against ``Engine``. The
+class itself lives in ``tests/test_kernel_fastlane.py``.
 """
-
-import json
-import random
-from pathlib import Path
-
-import pytest
-
-from repro.apps import reset_instance_ids
-from repro.sim import (
-    AllOf,
-    AnyOf,
-    EmptySchedule,
-    Engine,
-    Event,
-    Interrupt,
-    Resource,
-    WheelEngine,
-)
-from repro.sim.wheel import BUCKET_COUNT
-from repro.verify import DifferentialOracle
-from repro.workloads import Condition, WorkloadGenerator
 
 from tests.test_kernel_fastlane import TestGoldenKernelStress
 
-DATA = Path(__file__).parent / "data"
-
-
-@pytest.fixture(autouse=True)
-def _fresh_ids():
-    reset_instance_ids()
-
-
-class TinyWheelEngine(WheelEngine):
-    """Wheel with bucket custody forced from the second pending entry.
-
-    Real workloads rarely cross the 128-entry threshold, so tests use
-    this subclass to drive the bucket/occupancy/side/overflow machinery
-    on small scenarios.
-    """
-
-    __slots__ = ()
-    WHEEL_THRESHOLD = 1
-
-
-ALL_WHEELS = [WheelEngine, TinyWheelEngine]
-
-
-# ----------------------------------------------------------------------
-# Golden replay: the wheel is invisible to model code
-# ----------------------------------------------------------------------
-class TestWheelGoldenStress(TestGoldenKernelStress):
-    """The pure-kernel stress golden on the slot-register regime."""
-
-    engine_factory = staticmethod(WheelEngine)
-
-
-class TestTinyWheelGoldenStress(TestGoldenKernelStress):
-    """The same golden with every entry forced through bucket custody."""
-
-    engine_factory = staticmethod(TinyWheelEngine)
-
-
-class TestWheelOracle:
-    def test_three_way_oracle_agrees(self):
-        arrivals = WorkloadGenerator(13).sequence(Condition.STRESS, n_apps=5)
-        oracle = DifferentialOracle(kernels=("optimized", "wheel"))
-        report = oracle.check("VersaSlot-OL", arrivals)
-        assert report.ok, report.summary()
-        assert len(report.candidates) == 2
-        shas = {fp.trace_sha256 for fp in report.candidates}
-        shas.add(report.reference.trace_sha256)
-        assert len(shas) == 1
-
-    def test_divergence_is_tagged_by_kernel(self):
-        """A broken kernel registered as ``wheel`` is named in the fields."""
-        from repro.verify import KERNELS
-
-        from tests.test_verify_oracle import SleepSkewEngine
-
-        arrivals = WorkloadGenerator(5).sequence(Condition.STRESS, n_apps=4)
-        KERNELS["wheel"] = SleepSkewEngine
-        try:
-            oracle = DifferentialOracle(kernels=("optimized", "wheel"))
-            report = oracle.check("Nimblock", arrivals)
-        finally:
-            KERNELS["wheel"] = WheelEngine
-        assert report.diverged
-        names = {divergence.name for divergence in report.fields}
-        assert any(name.startswith("wheel:") for name in names)
-        assert not any(name.startswith("optimized:") for name in names)
-
-
-# ----------------------------------------------------------------------
-# Edge cases of the calendar machinery
-# ----------------------------------------------------------------------
-def _wake_log(engine_cls, delays):
-    """One process per delay, logging (now, tag) on wake."""
-    engine = engine_cls()
-    log = []
-
-    def waiter(tag, delay):
-        yield engine.timeout(delay)
-        log.append((engine.now, tag))
-
-    for tag, delay in enumerate(delays):
-        engine.process(waiter(tag, delay))
-    engine.run()
-    return log
-
-
-class TestBucketEdges:
-    @pytest.mark.parametrize("wheel_cls", ALL_WHEELS)
-    def test_events_exactly_on_bucket_boundaries(self, wheel_cls):
-        """Times landing exactly on ``base + k*width`` order correctly.
-
-        65 evenly spaced delays give span 64 and width 2.0, so every even
-        time sits exactly on a bucket boundary — the most rounding-prone
-        placement the index function faces.
-        """
-        delays = [float(i) for i in range(65)]
-        assert _wake_log(wheel_cls, delays) == _wake_log(Engine, delays)
-
-    def test_same_time_burst_batches_through_one_bucket(self):
-        """All-same-time entries keep FIFO order through one bucket sort."""
-        delays = [5.0] * 40
-        log = _wake_log(TinyWheelEngine, delays)
-        assert log == [(5.0, tag) for tag in range(40)]
-
-    def test_interrupt_merges_urgent_into_draining_bucket(self):
-        """An URGENT interrupt raised *while its victim's bucket drains*.
-
-        The interrupter and victim timeouts share a bucket at t=5; the
-        interrupt fires mid-drain, lands in the side heap, and its URGENT
-        priority must beat the victim's already-sorted NORMAL entry.  The
-        abandoned (detached) timeout then dispatches harmlessly from the
-        drained bucket.
-        """
-        engine = TinyWheelEngine()
-        log = []
-        victim_ref = []
-
-        def interrupter():
-            # Created first so its t=5 timeout outranks the victim's by
-            # seq and dispatches first — the interrupt really does land
-            # while the victim's entry is still in the active bucket.
-            yield engine.timeout(5.0)
-            victim_ref[0].interrupt("cut")
-
-        def victim():
-            try:
-                yield engine.timeout(5.0)
-                log.append((engine.now, "woke"))
-            except Interrupt as exc:
-                log.append((engine.now, "interrupted", str(exc.cause)))
-            yield engine.timeout(1.0)  # waiting again still works
-            log.append((engine.now, "slept-again"))
-
-        def far():  # keeps the wheel non-empty past t=5
-            yield engine.timeout(9.0)
-            log.append((engine.now, "far"))
-
-        engine.process(interrupter())
-        victim_ref.append(engine.process(victim()))
-        engine.process(far())
-        engine.run()
-        assert log == [
-            (5.0, "interrupted", "cut"),
-            (6.0, "slept-again"),
-            (9.0, "far"),
-        ]
-
-    def test_far_future_overflow_promotes_back_into_the_wheel(self):
-        """Entries beyond the ring land in overflow, then promote."""
-        engine = TinyWheelEngine()
-        log = []
-
-        def near(tag, delay):
-            yield engine.timeout(delay)
-            log.append((engine.now, tag))
-
-        engine.process(near("a", 1.0))
-        engine.process(near("b", 2.0))
-
-        def scheduler():
-            yield engine.timeout(0.5)
-            # The wheel is engaged (threshold 1) with width sized from the
-            # [0.5, 2.0] spread: t=1000 is far past the ring horizon.
-            yield engine.timeout(1000.0)
-            log.append((engine.now, "far"))
-
-        engine.process(scheduler())
-        # Force custody before running so the far insert goes through the
-        # engaged-wheel path rather than staging.
-        engine.run(until=0.75)
-        assert engine._wcount > 0
-        spread = engine._base + BUCKET_COUNT * engine._width
-        assert 1000.0 > spread  # genuinely beyond the ring
-        engine.run()
-        assert log == [(1.0, "a"), (2.0, "b"), (1000.5, "far")]
-        assert engine._overflow == []
-        assert engine.now == 1000.5
-
-    def test_detached_timeout_in_drained_bucket_is_harmless(self):
-        """A cancelled (interrupt-detached) timeout whose bucket already
-        activated dispatches with no waiters and no error."""
-        engine = TinyWheelEngine()
-        log = []
-
-        def sleeper():
-            try:
-                yield engine.timeout(100.0)
-                log.append("woke-early")
-            except Interrupt as exc:
-                log.append(("interrupted", engine.now, exc.cause))
-            return "ok"
-
-        process = engine.process(sleeper())
-
-        def interrupter():
-            yield engine.timeout(10.0)
-            process.interrupt("stop")
-
-        engine.process(interrupter())
-        engine.run()
-        assert log == [("interrupted", 10.0, "stop")]
-        assert process.value == "ok"
-        # The abandoned t=100 timeout still advanced the clock.
-        assert engine.now == 100.0
-        assert engine.pending_count() == 0
-
-
-class TestWheelEngineApi:
-    @pytest.mark.parametrize("wheel_cls", ALL_WHEELS)
-    def test_peek_step_pending_count(self, wheel_cls):
-        engine = wheel_cls()
-        assert engine.peek() == float("inf")
-        assert engine.pending_count() == 0
-        fired = []
-        for delay in (3.0, 1.0, 2.0):
-            engine.timeout(delay).callbacks.append(
-                lambda event, d=delay: fired.append(d)
-            )
-        assert engine.pending_count() == 3
-        assert engine.peek() == 1.0
-        engine.step()
-        assert (engine.now, fired) == (1.0, [1.0])
-        assert engine.peek() == 2.0
-        assert engine.pending_count() == 2
-        engine.step()
-        engine.step()
-        assert fired == [1.0, 2.0, 3.0]
-        with pytest.raises(EmptySchedule):
-            engine.step()
-
-    @pytest.mark.parametrize("wheel_cls", ALL_WHEELS)
-    def test_until_horizon_put_back_and_resume(self, wheel_cls):
-        def scenario(engine):
-            log = []
-
-            def proc(tag, delay, n):
-                for i in range(n):
-                    yield engine.timeout(delay)
-                    log.append((engine.now, tag, i))
-
-            engine.process(proc("a", 2.0, 6))
-            engine.process(proc("b", 3.0, 4))
-            engine.run(until=5.0)
-            mid = (engine.now, list(log), engine.pending_count())
-            engine.run()
-            return mid, log, engine.now
-
-        wheel = scenario(wheel_cls())
-        heap = scenario(Engine())
-        assert wheel == heap
-        mid, _, _ = wheel
-        assert mid[0] == 5.0  # clock advanced to the horizon exactly
-
-    def test_single_parked_timeout_beyond_horizon_stays_in_slot(self):
-        engine = WheelEngine()
-        timeout = engine.timeout(10.0)
-        engine.run(until=4.0)
-        assert engine.now == 4.0
-        assert engine.pending_count() == 1
-        assert engine.peek() == 10.0
-        fired = []
-        timeout.callbacks.append(lambda event: fired.append(engine.now))
-        engine.run()
-        assert fired == [10.0]
-        assert engine.pending_count() == 0
-
-
-# ----------------------------------------------------------------------
-# Seeded differential mini-fuzz: every backend, identical logs
-# ----------------------------------------------------------------------
-def _random_scenario(engine, seed):
-    """A randomized pure-kernel scenario logging every observable resume."""
-    rng = random.Random(seed)
-    log = []
-    resource = Resource(engine, capacity=rng.randint(1, 3), name="r")
-    interruptees = []
-
-    def looper(tag):
-        for i in range(rng.randint(1, 6)):
-            choice = rng.random()
-            if choice < 0.4:
-                yield engine.timeout(rng.choice([0.5, 1.0, 1.0, 2.5, 40.0]))
-            elif choice < 0.6:
-                yield float(rng.randint(0, 3))  # bare delay
-            elif choice < 0.8:
-                request = resource.acquire()
-                yield request
-                yield engine.timeout(1.0)
-                resource.release()
-            elif choice < 0.9:
-                yield AllOf(
-                    engine, [engine.timeout(1.0), engine.timeout(rng.choice([1.0, 2.0]))]
-                )
-            else:
-                first = yield AnyOf(
-                    engine, [engine.timeout(1.0, "x"), engine.timeout(3.0, "y")]
-                )
-                log.append((engine.now, tag, "first", first))
-            log.append((engine.now, tag, i))
-
-    def sleeper(tag):
-        try:
-            yield engine.timeout(rng.choice([8.0, 50.0]))
-            log.append((engine.now, tag, "woke"))
-        except Interrupt as exc:
-            log.append((engine.now, tag, "interrupted", str(exc.cause)))
-
-    for k in range(rng.randint(2, 7)):
-        engine.process(looper(f"p{k}"))
-    for k in range(rng.randint(0, 2)):
-        interruptees.append(engine.process(sleeper(f"s{k}")))
-
-    def interrupter():
-        yield engine.timeout(rng.choice([1.0, 4.0]))
-        for victim in interruptees:
-            victim.interrupt("stop")
-
-    if interruptees and rng.random() < 0.8:
-        engine.process(interrupter())
-    horizon = rng.choice([None, None, 20.0])
-    engine.run(until=horizon)
-    engine.run()
-    return log, engine.now
-
-
-class TestDifferentialMiniFuzz:
-    @pytest.mark.parametrize("seed", range(25))
-    def test_all_backends_identical(self, seed):
-        results = {
-            cls.__name__: _random_scenario(cls(), seed)
-            for cls in (Engine, WheelEngine, TinyWheelEngine)
-        }
-        baseline = results["Engine"]
-        for name, outcome in results.items():
-            assert outcome == baseline, f"{name} diverged on seed {seed}"
+__all__ = ["TestGoldenKernelStress"]
