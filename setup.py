@@ -1,9 +1,8 @@
 """Packaging for the VersaSlot reproduction.
 
 The package is dependency-free: every command runs on the standard
-library alone.  numpy and scipy are needed only by the optional
-``allocate_slots_milp`` reference formulation and by some test oracles;
-``repro[test]`` installs the test runner.
+library alone.  numpy, scipy and networkx serve only as optional test
+oracles; ``repro[test]`` installs the test runner.
 """
 
 import re

@@ -17,7 +17,7 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "ADMISSION_BATCH", "ROUTING_POLICIES", "ConsistentHashPolicy",
         "LeastLoadedPolicy", "PowerOfTwoPolicy", "RoutingPolicy",
         "estimated_work_ms", "get_policy", "load_imbalance",
-        "partition_arrivals", "policy_names", "register_policy",
+        "policy_names", "register_policy",
         "stable_digest",
     ),
     "workload": ("FLEET_WORKLOAD_KINDS", "FleetWorkload"),
@@ -51,7 +51,6 @@ __all__ = [
     "get_fleet_scenario",
     "get_policy",
     "load_imbalance",
-    "partition_arrivals",
     "policy_names",
     "register_fleet_scenario",
     "register_policy",

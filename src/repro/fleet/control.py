@@ -1,11 +1,11 @@
 """The supervised fleet control plane: actors, supervision, serving plans.
 
-This module turns a :class:`~repro.chaos.FaultSchedule` into a *serving
-plan*: the same pure-function-of-``(scenario, seed)`` dispatch plan the
-frozen front-end produces (:func:`repro.fleet.routing.partition_arrivals`),
-but computed by a deterministic sim-clock event loop in which shards can
-die, drain, degrade, recover — and every admitted request is provably
-served exactly once, rerouted, or explicitly shed.
+This module is the fleet's one admission path.  It turns an arrival
+stream and a :class:`~repro.chaos.FaultSchedule` (possibly empty) into a
+*serving plan*: a dispatch plan that is a pure function of
+``(scenario, seed)``, computed by a deterministic sim-clock event loop in
+which shards can die, drain, degrade, recover — and every admitted
+request is provably served exactly once, rerouted, or explicitly shed.
 
 Design
 ------
@@ -31,7 +31,9 @@ Design
 * **Admission-time virtual service.**  The control plane models each
   request's residency as ``estimated_work_ms x slow / capacity`` from
   admission — consistent with the front-end's route-on-estimates design
-  (routing never sees live simulation telemetry).  A kill mid-residency
+  (routing never sees live simulation telemetry).  Completions are lazy:
+  a resident is only looked at when a kill or drain on its shard asks
+  whether it is still in flight.  A kill mid-residency
   reroutes the request to a live shard (``REROUTE_DELAY_MS`` later); a
   drain lets residents finish and then downs the shard.  The *final*
   per-shard arrival streams are ordinary time-sorted streams, so shards
@@ -51,10 +53,11 @@ Design
   against the streams and histories: no lost requests, no serving on a
   dead shard, no shedding outside a degraded window.
 
-With an *empty* fault schedule the supervisor makes the same routing
-decisions (including identical RNG draw sequences for ``p2c``) as
-:func:`partition_arrivals`, so the fault-free serving plan is
-bit-identical to the frozen-admission plan.
+* **A fault-free stretch is a tight loop.**  Arrivals are consumed in
+  stable time order beside a heap that holds only control events
+  (faults, timers, reroutes, drain completions); with no control event
+  due, an arrival costs one routing decision, one ledger update and one
+  admission event.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..chaos import FaultSchedule, FaultSpec
@@ -118,14 +122,15 @@ TRANSITIONS: Dict[str, Tuple[str, ...]] = {
     RECOVERING: (WARMING, DEAD),
 }
 
-# Event-queue phases: at one sim instant, virtual completions happen
-# before faults, faults before supervision timers, timers before fresh
-# arrivals.  (A request completing exactly at its shard's kill time was
-# served; an arrival exactly at a kill time sees the shard already dead.)
+# Event phases: at one sim instant, virtual completions happen before
+# faults, faults before supervision timers, timers before fresh arrivals.
+# (A request completing exactly at its shard's kill time was served; an
+# arrival exactly at a kill time sees the shard already dead.)  Arrivals
+# never enter the heap: they run after every heap entry at or before
+# their time.
 _PHASE_COMPLETION = 0
 _PHASE_FAULT = 1
 _PHASE_TIMER = 2
-_PHASE_ARRIVAL = 3
 
 
 class ShardActor:
@@ -151,8 +156,9 @@ class ShardActor:
         self.attempts = 0
         self.down_since_ms = -1.0
         self.epoch = 0
-        #: request seq -> admission generation (resident requests).
-        self.in_flight: Dict[int, int] = {}
+        #: request seq -> (virtual end_ms, admission tick) of the requests
+        #: admitted here; those ending after "now" are the residents.
+        self.in_flight: Dict[int, Tuple[float, int]] = {}
         #: (time_ms, state, reason) — boots straight into SERVING.
         self.history: List[Tuple[float, str, str]] = [(0.0, SERVING, "boot")]
         self._recover_times = tuple(sorted(recover_times))
@@ -195,7 +201,7 @@ class ShardActor:
                 return
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestRecord:
     """One admitted arrival's ledger entry (exactly-once disposition)."""
 
@@ -212,8 +218,6 @@ class RequestRecord:
     #: Shards this request was bumped off, in order.
     rerouted_from: Tuple[int, ...] = ()
     shed_reason: str = ""
-    #: Admission generation; stale virtual completions are dropped.
-    gen: int = 0
 
 
 @dataclass
@@ -266,10 +270,10 @@ class FleetSupervisor:
     """Deterministic admission-time control loop over the shard actors.
 
     One instance plans one ``(arrival stream, fault schedule)`` pair.  The
-    loop merges virtual completions, faults, supervision timers and fresh
-    arrivals into a single sim-clock priority queue with fixed intra-tick
-    phase ordering and an insertion-order tiebreak, so the plan is a pure
-    function of its inputs.
+    loop walks the arrivals in stable time order and interleaves a
+    sim-clock heap of control events with fixed intra-tick phase ordering
+    and an insertion-order tiebreak, so the plan is a pure function of its
+    inputs.
     """
 
     def __init__(
@@ -279,7 +283,6 @@ class FleetSupervisor:
         seed: int,
         faults: FaultSchedule,
         shed_threshold: float = SHED_CAPACITY_THRESHOLD,
-        admission_batch: int = ADMISSION_BATCH,
         telemetry=None,
     ) -> None:
         if n_shards < 1:
@@ -290,10 +293,7 @@ class FleetSupervisor:
         self.seed = seed
         self.faults = faults
         self.shed_threshold = shed_threshold
-        self.admission_batch = admission_batch
         self.telemetry = telemetry
-        # Same RNG family and policy construction as partition_arrivals,
-        # so the fault-free plan is bit-identical to the frozen one.
         streams = SeededStreams(seed).spawn("fleet-router")
         self.router = get_policy(policy, n_shards, streams)
         recover_times = faults.recover_times()
@@ -305,20 +305,16 @@ class FleetSupervisor:
         self._events: List[TelemetryEvent] = []
         self._windows: List[Tuple[float, Optional[float]]] = []
         self._window_start: Optional[float] = None
-        self._last_time = 0.0
+        self._recount()
 
     # -- helpers -------------------------------------------------------
 
-    def _live(self) -> Tuple[int, ...]:
-        return tuple(
-            actor.shard for actor in self.actors if actor.state == SERVING
-        )
-
-    def _capacity_fraction(self) -> float:
-        return sum(
-            actor.capacity_factor
-            for actor in self.actors
-            if actor.state == SERVING
+    def _recount(self) -> None:
+        """Refresh the cached live tuple and capacity fraction."""
+        serving = [actor for actor in self.actors if actor.state == SERVING]
+        self._live = tuple(actor.shard for actor in serving)
+        self._capacity = sum(
+            actor.capacity_factor for actor in serving
         ) / self.n_shards
 
     def _emit(self, event: TelemetryEvent) -> None:
@@ -327,7 +323,10 @@ class FleetSupervisor:
             self.telemetry.emit(event)
 
     def _update_shed_window(self, time_ms: float) -> None:
-        below = self._capacity_fraction() < self.shed_threshold
+        """A shard state or capacity changed: recount, then open or close
+        the degraded window."""
+        self._recount()
+        below = self._capacity < self.shed_threshold
         if below and self._window_start is None:
             self._window_start = time_ms
         elif not below and self._window_start is not None:
@@ -346,38 +345,29 @@ class FleetSupervisor:
             )
             for index, arrival in enumerate(arrivals)
         ]
+        work = [estimated_work_ms(arrival) for arrival in arrivals]
         heap: List[Tuple[float, int, int, Tuple]] = []
         tick = itertools.count()
-        for index, arrival in enumerate(arrivals):
-            heappush(
-                heap,
-                (arrival.time_ms, _PHASE_ARRIVAL, next(tick), ("arrival", index)),
-            )
         for fault in self.faults:
             heappush(
                 heap, (fault.at_ms, _PHASE_FAULT, next(tick), ("fault", fault))
             )
-        admitted = 0
-        snapshot: Tuple[float, ...] = tuple(self.loads)
 
         def admit(record: RequestRecord, shard: int, time_ms: float) -> None:
-            actor = self.actors[shard]
-            arrival = arrivals[record.seq]
             record.disposition = "served"
             record.shard = shard
             record.time_ms = time_ms
-            record.gen += 1
-            actor.in_flight[record.seq] = record.gen
-            self.loads[shard] += estimated_work_ms(arrival)
-            duration = (
-                estimated_work_ms(arrival)
-                * actor.slow_factor
-                / actor.capacity_factor
-            )
-            heappush(heap, (
-                time_ms + duration, _PHASE_COMPLETION, next(tick),
-                ("complete", (shard, record.seq, record.gen)),
-            ))
+            cost = work[record.seq]
+            self.loads[shard] += cost
+            if heap:
+                # The completion is lazy: its heap key is kept, not
+                # pushed.  With no control event pending no kill or
+                # drain can come to ask for it.
+                actor = self.actors[shard]
+                actor.in_flight[record.seq] = (
+                    time_ms + cost * actor.slow_factor / actor.capacity_factor,
+                    next(tick),
+                )
 
         def shed(record: RequestRecord, time_ms: float, reason: str) -> None:
             if record.shard >= 0:
@@ -402,27 +392,17 @@ class FleetSupervisor:
                 ("probe", (actor.shard, actor.epoch)),
             ))
 
-        while heap:
-            time_ms, phase, _, item = heappop(heap)
-            self._last_time = time_ms
-            kind, payload = item
-
-            if kind == "complete":
-                shard, seq, gen = payload
-                actor = self.actors[shard]
-                if actor.in_flight.get(seq) != gen:
-                    continue  # rerouted or re-admitted elsewhere
-                del actor.in_flight[seq]
-                if actor.state == DRAINING and not actor.in_flight:
-                    mark_dead(actor, time_ms, "drain")
-
-            elif kind == "fault":
+        def control(time_ms: float, kind: str, payload) -> None:
+            if kind == "fault":
                 fault: FaultSpec = payload
                 actor = self.actors[fault.shard]
                 if fault.kind == "kill":
                     if actor.state == DEAD:
-                        continue
-                    residents = sorted(actor.in_flight)
+                        return
+                    residents = sorted(
+                        seq for seq, (end_ms, _) in actor.in_flight.items()
+                        if end_ms > time_ms
+                    )
                     actor.in_flight.clear()
                     mark_dead(actor, time_ms, "kill")
                     for seq in residents:
@@ -432,11 +412,24 @@ class FleetSupervisor:
                         ))
                 elif fault.kind == "drain":
                     if actor.state != SERVING:
-                        continue
+                        return
                     actor.transition(DRAINING, time_ms, "drain")
                     self._update_shed_window(time_ms)
-                    if not actor.in_flight:
+                    last = max(
+                        (key for key in actor.in_flight.values()
+                         if key[0] > time_ms),
+                        default=None,
+                    )
+                    if last is None:
                         mark_dead(actor, time_ms, "drain")
+                    else:
+                        # The shard goes down exactly where its last
+                        # resident's completion would have popped.
+                        end_ms, admission_tick = last
+                        heappush(heap, (
+                            end_ms, _PHASE_COMPLETION, admission_tick,
+                            ("drain-done", (fault.shard, actor.epoch)),
+                        ))
                 elif fault.kind == "degrade":
                     actor.capacity_factor = fault.factor
                     self._update_shed_window(time_ms)
@@ -452,6 +445,14 @@ class FleetSupervisor:
                     ))
                 # "recover" is data for the probes, not a queue action.
 
+            elif kind == "drain-done":
+                shard, epoch = payload
+                actor = self.actors[shard]
+                if actor.epoch != epoch or actor.state != DRAINING:
+                    return  # killed mid-drain
+                actor.in_flight.clear()
+                mark_dead(actor, time_ms, "drain")
+
             elif kind == "degrade-end":
                 self.actors[payload].capacity_factor = 1.0
                 self._update_shed_window(time_ms)
@@ -463,7 +464,7 @@ class FleetSupervisor:
                 shard, epoch = payload
                 actor = self.actors[shard]
                 if actor.epoch != epoch or actor.state != DEAD:
-                    continue
+                    return
                 recover_at = actor.next_recoverable(actor.down_since_ms)
                 if recover_at is not None and time_ms >= recover_at:
                     actor.consume_recoverable(actor.down_since_ms)
@@ -488,7 +489,7 @@ class FleetSupervisor:
                 shard, epoch = payload
                 actor = self.actors[shard]
                 if actor.epoch != epoch or actor.state != RECOVERING:
-                    continue
+                    return
                 actor.transition(WARMING, time_ms, "restart-done")
                 heappush(heap, (
                     time_ms + WARMUP_MS, _PHASE_TIMER, next(tick),
@@ -499,7 +500,7 @@ class FleetSupervisor:
                 shard, epoch = payload
                 actor = self.actors[shard]
                 if actor.epoch != epoch or actor.state != WARMING:
-                    continue
+                    return
                 actor.transition(SERVING, time_ms, "warmup-done")
                 self._emit(ShardRecoveredEvent(
                     time_ms, shard, time_ms - actor.down_since_ms
@@ -508,17 +509,17 @@ class FleetSupervisor:
 
             elif kind == "reroute":
                 record = records[payload]
-                live = self._live()
+                live = self._live
                 if not live:
                     # The only way an *admitted* request is ever refused.
                     shed(record, time_ms, "no-live-shards")
-                    continue
+                    return
                 from_shard = record.shard
                 record.rerouted_from = record.rerouted_from + (from_shard,)
                 # Reroutes consult the live cumulative loads (the
                 # supervisor reacts to failures with fresh accounting)
                 # and never consume a batch slot or the shed budget.
-                to_shard = self.router.route_live(
+                to_shard = self.router.route(
                     arrivals[record.seq], tuple(self.loads), live
                 )
                 admit(record, to_shard, time_ms)
@@ -526,30 +527,39 @@ class FleetSupervisor:
                     time_ms, record.app, record.batch, from_shard, to_shard
                 ))
 
-            elif kind == "arrival":
-                record = records[payload]
-                arrival = arrivals[payload]
-                live = self._live()
-                if not live:
-                    shed(record, time_ms, "no-live-shards")
-                    continue
-                if self._capacity_fraction() < self.shed_threshold:
-                    shed(record, time_ms, "degraded-capacity")
-                    continue
-                # Fresh admissions replicate the frozen front-end's
-                # batch-snapshot accounting exactly.
-                if admitted % self.admission_batch == 0:
-                    snapshot = tuple(self.loads)
-                shard = self.router.route_live(arrival, snapshot, live)
-                admit(record, shard, time_ms)
-                admitted += 1
-                self._emit(ShardAdmissionEvent(
-                    arrival.time_ms, arrival.app_name,
-                    arrival.batch_size, shard,
-                ))
-
             else:  # pragma: no cover - closed dispatch
                 raise AssertionError(f"unknown control event {kind!r}")
+
+        route = self.router.route
+        admitted = 0
+        snapshot: Tuple[float, ...] = tuple(self.loads)
+        for seq in sorted(range(len(arrivals)), key=lambda i: arrivals[i].time_ms):
+            arrival = arrivals[seq]
+            now = arrival.time_ms
+            while heap and heap[0][0] <= now:
+                time_ms, _, _, (kind, payload) = heappop(heap)
+                control(time_ms, kind, payload)
+            record = records[seq]
+            live = self._live
+            if not live:
+                shed(record, now, "no-live-shards")
+                continue
+            if self._capacity < self.shed_threshold:
+                shed(record, now, "degraded-capacity")
+                continue
+            # Fresh admissions route against a load snapshot refreshed
+            # every ADMISSION_BATCH admissions.
+            if admitted % ADMISSION_BATCH == 0:
+                snapshot = tuple(self.loads)
+            shard = route(arrival, snapshot, live)
+            admit(record, shard, now)
+            admitted += 1
+            self._emit(ShardAdmissionEvent(
+                now, arrival.app_name, arrival.batch_size, shard
+            ))
+        while heap:
+            time_ms, _, _, (kind, payload) = heappop(heap)
+            control(time_ms, kind, payload)
 
         if self._window_start is not None:
             self._windows.append((self._window_start, None))
@@ -565,14 +575,12 @@ class FleetSupervisor:
         streams: List[List[Arrival]] = [[] for _ in range(self.n_shards)]
         for record in sorted(
             (r for r in records if r.disposition == "served"),
-            key=lambda r: (r.time_ms, r.seq),
+            key=attrgetter("time_ms", "seq"),
         ):
-            streams[record.shard].append(
-                Arrival(
-                    app_name=record.app, batch_size=record.batch,
-                    time_ms=record.time_ms,
-                )
-            )
+            arrival = arrivals[record.seq]
+            if record.time_ms != arrival.time_ms:  # rerouted
+                arrival = Arrival(record.app, record.batch, record.time_ms)
+            streams[record.shard].append(arrival)
         return ServingPlan(
             n_shards=self.n_shards,
             policy=self.policy,
@@ -596,19 +604,18 @@ def supervised_partition(
     seed: int,
     faults: FaultSchedule,
     shed_threshold: float = SHED_CAPACITY_THRESHOLD,
-    admission_batch: int = ADMISSION_BATCH,
     telemetry=None,
 ) -> ServingPlan:
-    """The fault-aware dispatch plan (supervised analogue of
-    :func:`repro.fleet.routing.partition_arrivals`).
+    """The fleet dispatch plan of ``arrivals`` under ``faults``.
 
-    Pure and deterministic in every argument; with an empty schedule the
-    ``streams`` equal the frozen-admission plan bit for bit.
+    Pure and deterministic in every argument: recomputing the plan in a
+    worker process yields the identical split.  An attached ``telemetry``
+    bus receives every control-plane event, one shard-admission event per
+    routed arrival included.
     """
     supervisor = FleetSupervisor(
         n_shards=n_shards, policy=policy, seed=seed, faults=faults,
-        shed_threshold=shed_threshold, admission_batch=admission_batch,
-        telemetry=telemetry,
+        shed_threshold=shed_threshold, telemetry=telemetry,
     )
     return supervisor.plan(arrivals)
 

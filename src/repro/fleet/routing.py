@@ -1,4 +1,4 @@
-"""Routing and admission policies for the sharded fleet front-end.
+"""Routing policies for the sharded fleet front-end.
 
 The fleet front-end assigns every arriving application to one of N
 independent cluster shards.  Routing runs at *admission time*, against the
@@ -6,15 +6,17 @@ front-end's own load accounting (estimated slot-work routed to each shard
 so far), never against live simulation telemetry — that is what makes a
 dispatch plan a pure function of the arrival stream, so shards simulate as
 independent campaign cells with bit-identical results whether they run
-serially or fanned out over worker processes.
+serially or fanned out over worker processes.  The one caller is the
+supervised control plane (:mod:`repro.fleet.control`), which routes every
+admission and every reroute among the shards that are serving.
 
 Every policy is seeded through :class:`~repro.sim.rng.SeededStreams` and
 every hash is a SHA-256 digest (:func:`stable_digest`), never the builtin
 ``hash()``: a routing decision must come out the same in every worker
 process regardless of ``PYTHONHASHSEED``.
 
-Arrivals are admitted in small *batches* (:data:`ADMISSION_BATCH`): the
-load snapshot the policies see is frozen at batch start, modelling a
+Fresh arrivals are admitted in small *batches* (:data:`ADMISSION_BATCH`):
+the load snapshot the policies see is frozen at batch start, modelling a
 front-end that folds telemetry in periodically rather than per request.
 """
 
@@ -22,12 +24,10 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..apps.benchmarks import BENCHMARKS
 from ..sim import SeededStreams
-from ..telemetry.bus import TelemetryBus
-from ..telemetry.events import ShardAdmissionEvent
 from ..workloads.generator import Arrival
 
 #: Arrivals admitted per routing batch; the per-shard load snapshot the
@@ -51,10 +51,11 @@ def estimated_work_ms(arrival: Arrival) -> float:
 
 
 class RoutingPolicy:
-    """Base class: map an arrival to a shard index.
+    """Base class: map an arrival to one of the live shards.
 
-    ``loads`` is the front-end's per-shard estimated-work snapshot, frozen
-    at the start of the current admission batch.
+    ``loads`` is the front-end's per-shard estimated-work snapshot and
+    ``live`` the sorted tuple of currently-serving shard indices; an
+    empty ``live`` raises ``ValueError``.
     """
 
     name = "?"
@@ -65,34 +66,10 @@ class RoutingPolicy:
         self.n_shards = n_shards
         self.streams = streams
 
-    def route(self, arrival: Arrival, loads: Sequence[float]) -> int:
-        raise NotImplementedError
-
-    def route_live(
-        self,
-        arrival: Arrival,
-        loads: Sequence[float],
-        live: Sequence[int],
+    def route(
+        self, arrival: Arrival, loads: Sequence[float], live: Sequence[int]
     ) -> int:
-        """Route among the ``live`` shard subset (failure-aware admission).
-
-        ``live`` is the sorted tuple of currently-serving shard indices.
-        With every shard live this must make the *same decision (and the
-        same RNG draws)* as :meth:`route`, so a fault-free supervised plan
-        is bit-identical to the frozen-admission plan.  The base fallback
-        keeps the :meth:`route` choice when it is live and otherwise walks
-        cyclically upward to the next live shard.
-        """
-        if not live:
-            raise ValueError("route_live needs at least one live shard")
-        shard = self.route(arrival, loads)
-        if shard in live:
-            return shard
-        for offset in range(1, self.n_shards + 1):
-            candidate = (shard + offset) % self.n_shards
-            if candidate in live:
-                return candidate
-        raise ValueError("route_live: no live shard found")  # pragma: no cover
+        raise NotImplementedError
 
 
 #: Registered policies by name (insertion-ordered dict).
@@ -129,7 +106,9 @@ class ConsistentHashPolicy(RoutingPolicy):
 
     All arrivals of one benchmark land on one shard (cache/bitstream
     affinity), and adding a shard only remaps ~1/N of the key space.
-    ``VNODES`` virtual nodes per shard keep the ring balanced.
+    ``VNODES`` virtual nodes per shard keep the ring balanced.  A key
+    whose owner is down walks clockwise to the first live vnode, so a
+    leave/rejoin remaps only the dead shard's key range.
     """
 
     name = "hash"
@@ -143,60 +122,42 @@ class ConsistentHashPolicy(RoutingPolicy):
         points.sort()
         self._ring = [point for point, _ in points]
         self._owner = [shard for _, shard in points]
+        #: app name -> ring index of its key (a pure function of the name).
+        self._home: Dict[str, int] = {}
 
-    def route(self, arrival: Arrival, loads: Sequence[float]) -> int:
-        point = stable_digest(f"app/{arrival.app_name}")
-        index = bisect_right(self._ring, point) % len(self._ring)
-        return self._owner[index]
-
-    def route_live(
-        self,
-        arrival: Arrival,
-        loads: Sequence[float],
-        live: Sequence[int],
+    def route(
+        self, arrival: Arrival, loads: Sequence[float], live: Sequence[int]
     ) -> int:
-        # Ring-walk past dead owners: the first live vnode clockwise of
-        # the key.  Keys whose owner stays live keep their shard, so a
-        # leave/rejoin remaps only the dead shard's key range (classic
-        # consistent-hashing stability, now under failures).
         if not live:
-            raise ValueError("route_live needs at least one live shard")
-        live_set = frozenset(live)
-        point = stable_digest(f"app/{arrival.app_name}")
-        index = bisect_right(self._ring, point) % len(self._ring)
-        for step in range(len(self._ring)):
-            owner = self._owner[(index + step) % len(self._ring)]
-            if owner in live_set:
+            raise ValueError("route needs at least one live shard")
+        index = self._home.get(arrival.app_name)
+        if index is None:
+            point = stable_digest(f"app/{arrival.app_name}")
+            index = bisect_right(self._ring, point) % len(self._ring)
+            self._home[arrival.app_name] = index
+        owners = self._owner
+        for step in range(len(owners)):
+            owner = owners[(index + step) % len(owners)]
+            if owner in live:
                 return owner
-        raise ValueError("route_live: no live shard found")  # pragma: no cover
+        raise ValueError("route: no live shard found")  # pragma: no cover
 
 
 @register_policy
 class LeastLoadedPolicy(RoutingPolicy):
-    """Route to the shard with the least estimated work (ties: lowest index)."""
+    """Route to the live shard with the least estimated work (ties:
+    lowest index)."""
 
     name = "least-loaded"
 
-    def route(self, arrival: Arrival, loads: Sequence[float]) -> int:
-        best = 0
-        best_load = loads[0]
-        for shard in range(1, self.n_shards):
-            if loads[shard] < best_load:
-                best = shard
-                best_load = loads[shard]
-        return best
-
-    def route_live(
-        self,
-        arrival: Arrival,
-        loads: Sequence[float],
-        live: Sequence[int],
+    def route(
+        self, arrival: Arrival, loads: Sequence[float], live: Sequence[int]
     ) -> int:
         if not live:
-            raise ValueError("route_live needs at least one live shard")
+            raise ValueError("route needs at least one live shard")
         best = live[0]
         best_load = loads[best]
-        for shard in live[1:]:
+        for shard in live:
             if loads[shard] < best_load:
                 best = shard
                 best_load = loads[shard]
@@ -205,11 +166,12 @@ class LeastLoadedPolicy(RoutingPolicy):
 
 @register_policy
 class PowerOfTwoPolicy(RoutingPolicy):
-    """Pick two random candidate shards, route to the less loaded one.
+    """Pick two random live candidates, route to the less loaded one.
 
     The candidate stream comes from the fleet's seeded RNG family, so the
-    choice sequence is reproducible in every process; with one shard it
-    degenerates to that shard.
+    choice sequence is reproducible in every process.  Candidates index
+    the ``live`` tuple, so every decision draws exactly twice; with one
+    live shard it degenerates to that shard.
     """
 
     name = "p2c"
@@ -218,69 +180,14 @@ class PowerOfTwoPolicy(RoutingPolicy):
         super().__init__(n_shards, streams)
         self._rng = streams.stream("p2c")
 
-    def route(self, arrival: Arrival, loads: Sequence[float]) -> int:
-        first = self._rng.randrange(self.n_shards)
-        second = self._rng.randrange(self.n_shards)
-        return first if loads[first] <= loads[second] else second
-
-    def route_live(
-        self,
-        arrival: Arrival,
-        loads: Sequence[float],
-        live: Sequence[int],
+    def route(
+        self, arrival: Arrival, loads: Sequence[float], live: Sequence[int]
     ) -> int:
-        # Candidates are drawn from the *live* index space, so the draw
-        # count per decision is fixed (two) and, with every shard live,
-        # the sequence is identical to :meth:`route` — the sorted live
-        # tuple is then (0..n-1) and ``live[i] == i``.
         if not live:
-            raise ValueError("route_live needs at least one live shard")
+            raise ValueError("route needs at least one live shard")
         first = live[self._rng.randrange(len(live))]
         second = live[self._rng.randrange(len(live))]
         return first if loads[first] <= loads[second] else second
-
-
-def partition_arrivals(
-    arrivals: Sequence[Arrival],
-    n_shards: int,
-    policy: str,
-    seed: int,
-    admission_batch: int = ADMISSION_BATCH,
-    telemetry: Optional[TelemetryBus] = None,
-) -> List[List[Arrival]]:
-    """The fleet dispatch plan: arrivals routed to per-shard sub-streams.
-
-    Pure and deterministic in ``(arrivals, n_shards, policy, seed)`` —
-    recomputing the plan in a worker process yields the identical split.
-    An attached ``telemetry`` bus receives one shard-admission event per
-    routed arrival (timestamped with the arrival time).
-    """
-    streams = SeededStreams(seed).spawn("fleet-router")
-    router = get_policy(policy, n_shards, streams)
-    loads = [0.0] * n_shards
-    shards: List[List[Arrival]] = [[] for _ in range(n_shards)]
-    emit_admission = (
-        telemetry is not None and telemetry.wants("admission")
-    )
-    for start in range(0, len(arrivals), admission_batch):
-        snapshot = tuple(loads)
-        for arrival in arrivals[start:start + admission_batch]:
-            shard = router.route(arrival, snapshot)
-            if not 0 <= shard < n_shards:
-                raise ValueError(
-                    f"policy {policy!r} routed to shard {shard} "
-                    f"outside [0, {n_shards})"
-                )
-            shards[shard].append(arrival)
-            loads[shard] += estimated_work_ms(arrival)
-            if emit_admission:
-                telemetry.emit(
-                    ShardAdmissionEvent(
-                        arrival.time_ms, arrival.app_name,
-                        arrival.batch_size, shard,
-                    )
-                )
-    return shards
 
 
 def shard_loads(shards: Sequence[Sequence[Arrival]]) -> List[float]:

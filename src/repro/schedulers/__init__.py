@@ -6,9 +6,7 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     "base": ("OnBoardScheduler", "PRPlan", "ResponseRecord", "SchedulerStats"),
     "baseline": ("BaselineScheduler",),
     "fcfs": ("FCFSScheduler",),
-    "ilp": (
-        "allocate_slots_milp", "optimal_big_slots", "optimal_little_slots",
-    ),
+    "ilp": ("optimal_big_slots", "optimal_little_slots"),
     "nimblock": ("NimblockScheduler",),
     "round_robin": ("RoundRobinScheduler",),
     "runtime": ("AppRun", "BundleRun", "TaskRun"),
@@ -26,7 +24,6 @@ __all__ = [
     "RoundRobinScheduler",
     "SchedulerStats",
     "TaskRun",
-    "allocate_slots_milp",
     "optimal_big_slots",
     "optimal_little_slots",
 ]

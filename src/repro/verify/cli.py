@@ -35,7 +35,7 @@ from .oracle import DifferentialOracle, DivergenceReport
 
 def _check_case(oracle: DifferentialOracle, case: FuzzCase) -> DivergenceReport:
     report = oracle.check(case.system, case.arrivals(), case.params())
-    # Faulted fleet cases additionally audit the serving plan: losing a
+    # Fleet cases additionally audit the serving plan: losing a
     # request is a failure even when every kernel agrees bit-for-bit.
     report.plan_violations = case.plan_violations()
     return report

@@ -2,8 +2,8 @@
 
 Covers the chaos subsystem end to end: fault schedules as pure data,
 the shard-actor transition table, supervised serving plans (fault-free
-bit-identity with the frozen front-end, kill/reroute/recover walks,
-degraded-mode shedding), the no-lost-requests invariants, the committed
+plans pinned to the frozen front-end's assignments, kill/reroute/recover
+walks, degraded-mode shedding), the no-lost-requests invariants, the committed
 ``fleet-chaos`` scenario, event-log replay parity, and the fault-aware
 fuzzer with its faults-first shrink ordering.
 """
@@ -26,7 +26,6 @@ from repro.fleet import (
     FleetSupervisor,
     ShardActor,
     get_fleet_scenario,
-    partition_arrivals,
     policy_names,
     supervised_partition,
 )
@@ -153,8 +152,22 @@ class TestShardActor:
 
 
 # ---------------------------------------------------------------------------
-# Fault-free bit-identity with the frozen front-end
+# Fault-free plans: pinned shard assignments and a clean ledger
 # ---------------------------------------------------------------------------
+#: Shard of each arrival (in submission order) in the fault-free 4-shard
+#: plan of the stream below, recorded from the frozen batch front-end
+#: that planned fault-free fleets before the supervisor became the only
+#: admission path.  tests/test_fleet.py pins larger plans by digest.
+FROZEN_ASSIGNMENTS = {
+    (1, "hash"): [2, 0, 0, 0] * 5,
+    (1, "least-loaded"): [0] * 4 + [1] * 4 + [2] * 4 + [3] * 4 + [0] * 4,
+    (1, "p2c"): [1, 2, 1, 0, 3, 2, 1, 2, 0, 0, 0, 3, 0, 1, 1, 2, 3, 3, 3, 2],
+    (7, "hash"): [2, 0, 0, 0] * 5,
+    (7, "least-loaded"): [0] * 4 + [1] * 4 + [2] * 4 + [3] * 4 + [0] * 4,
+    (7, "p2c"): [1, 3, 1, 0, 3, 3, 1, 2, 2, 0, 0, 2, 1, 1, 1, 1, 0, 3, 3, 2],
+}
+
+
 class TestFaultFreeEquivalence:
     @pytest.mark.parametrize("policy", policy_names())
     @pytest.mark.parametrize("seed", (1, 7))
@@ -166,7 +179,9 @@ class TestFaultFreeEquivalence:
         plan = supervised_partition(
             arrivals, 4, policy, seed, FaultSchedule()
         )
-        frozen = partition_arrivals(arrivals, 4, policy, seed)
+        frozen = [[] for _ in range(4)]
+        for arrival, shard in zip(arrivals, FROZEN_ASSIGNMENTS[seed, policy]):
+            frozen[shard].append(arrival)
         assert plan.streams == frozen
         assert plan.served_count == len(arrivals)
         assert plan.shed_count == 0

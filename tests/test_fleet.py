@@ -7,6 +7,7 @@ bit-identical per-shard work.
 """
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -18,6 +19,7 @@ import pytest
 from repro.apps import reset_instance_ids
 from repro.campaign.backend import SerialBackend
 from repro.campaign.results import load_records
+from repro.chaos import FaultSchedule
 from repro.cli import main
 from repro.fleet import (
     ADMISSION_BATCH,
@@ -28,12 +30,13 @@ from repro.fleet import (
     get_fleet_scenario,
     get_policy,
     load_imbalance,
-    partition_arrivals,
     policy_names,
     stable_digest,
+    supervised_partition,
 )
 from repro.fleet.workload import FLEET_WORKLOAD_KINDS
 from repro.sim import SeededStreams
+from repro.telemetry.bus import TelemetryBus, TelemetrySink
 from repro.verify import DifferentialOracle, FuzzCase, cases_from_fleet_scenario, shrink_case
 from repro.workloads import Condition
 
@@ -49,6 +52,12 @@ def smoke_stream(n_apps=12, condition=Condition.STRESS, kind="uniform"):
     return FleetWorkload(kind=kind, condition=condition, n_apps=n_apps).arrivals(1)
 
 
+def fault_free_plan(arrivals, n_shards, policy, seed):
+    return supervised_partition(
+        arrivals, n_shards, policy, seed, FaultSchedule()
+    ).streams
+
+
 # ----------------------------------------------------------------------
 # Routing policies
 # ----------------------------------------------------------------------
@@ -61,7 +70,7 @@ class TestRouting:
 
     def test_consistent_hash_keys_by_app(self):
         arrivals = smoke_stream(24)
-        shards = partition_arrivals(arrivals, 4, "hash", seed=1)
+        shards = fault_free_plan(arrivals, 4, "hash", seed=1)
         app_to_shard = {}
         for shard, sub in enumerate(shards):
             for arrival in sub:
@@ -69,8 +78,8 @@ class TestRouting:
 
     def test_consistent_hash_remaps_a_fraction_on_scale_out(self):
         arrivals = smoke_stream(24)
-        four = partition_arrivals(arrivals, 4, "hash", seed=1)
-        five = partition_arrivals(arrivals, 5, "hash", seed=1)
+        four = fault_free_plan(arrivals, 4, "hash", seed=1)
+        five = fault_free_plan(arrivals, 5, "hash", seed=1)
 
         def shard_of(plan):
             return {
@@ -86,23 +95,23 @@ class TestRouting:
     def test_least_loaded_balances_estimated_work(self):
         arrivals = smoke_stream(32)
         balanced = load_imbalance(
-            partition_arrivals(arrivals, 4, "least-loaded", seed=1)
+            fault_free_plan(arrivals, 4, "least-loaded", seed=1)
         )
-        hashed = load_imbalance(partition_arrivals(arrivals, 4, "hash", seed=1))
+        hashed = load_imbalance(fault_free_plan(arrivals, 4, "hash", seed=1))
         assert balanced <= hashed
         assert balanced < 1.5
 
     def test_p2c_draws_from_seeded_streams(self):
         arrivals = smoke_stream(16)
-        first = partition_arrivals(arrivals, 3, "p2c", seed=5)
-        second = partition_arrivals(arrivals, 3, "p2c", seed=5)
+        first = fault_free_plan(arrivals, 3, "p2c", seed=5)
+        second = fault_free_plan(arrivals, 3, "p2c", seed=5)
         assert first == second
-        assert partition_arrivals(arrivals, 3, "p2c", seed=6) != first
+        assert fault_free_plan(arrivals, 3, "p2c", seed=6) != first
 
     def test_partition_is_exact_and_order_preserving(self):
         arrivals = smoke_stream(20)
         for policy in policy_names():
-            shards = partition_arrivals(arrivals, 3, policy, seed=2)
+            shards = fault_free_plan(arrivals, 3, policy, seed=2)
             flat = [arrival for sub in shards for arrival in sub]
             assert sorted(flat, key=lambda a: a.time_ms) == arrivals
             for sub in shards:
@@ -116,7 +125,7 @@ class TestRouting:
         """Within one admission batch, least-loaded routes against the
         batch-start snapshot (stale loads), not per-arrival accounting."""
         arrivals = smoke_stream(ADMISSION_BATCH)
-        shards = partition_arrivals(arrivals, 2, "least-loaded", seed=1)
+        shards = fault_free_plan(arrivals, 2, "least-loaded", seed=1)
         # Snapshot all-zero for the whole first batch: ties go to shard 0.
         assert len(shards[0]) == ADMISSION_BATCH
         assert shards[1] == []
@@ -125,13 +134,15 @@ class TestRouting:
         """The front-end reproduces the identical dispatch plan in fresh
         interpreters regardless of PYTHONHASHSEED (the spawn regression)."""
         script = (
-            "from repro.fleet import partition_arrivals\n"
+            "from repro.chaos import FaultSchedule\n"
+            "from repro.fleet import supervised_partition\n"
             "from repro.fleet.workload import FleetWorkload\n"
             "from repro.workloads import Condition\n"
             "s = FleetWorkload(kind='hot-skew', condition=Condition.STRESS,"
             " n_apps=16).arrivals(3)\n"
             "for policy in ('hash', 'least-loaded', 'p2c'):\n"
-            "    plan = partition_arrivals(s, 3, policy, seed=3)\n"
+            "    plan = supervised_partition("
+            "s, 3, policy, 3, FaultSchedule()).streams\n"
             "    print(policy, [[a.app_name for a in sub] for sub in plan])\n"
         )
         outputs = set()
@@ -143,6 +154,85 @@ class TestRouting:
             )
             outputs.add(result.stdout)
         assert len(outputs) == 1
+
+
+# ----------------------------------------------------------------------
+# Pinned fault-free plans
+# ----------------------------------------------------------------------
+#: sha256 prefixes of (per-shard streams, admission-event log) of the
+#: fault-free plan of a 240-arrival uniform STRESS stream, keyed by
+#: (policy, seed, shards).  Recorded from the frozen batch front-end that
+#: planned fault-free fleets before the supervisor became the only
+#: admission path; any drift in routing decisions, RNG draws, the
+#: admission batch or event emission changes a digest.
+FAULT_FREE_PLAN_DIGESTS = {
+    ('hash', 1, 1): ('bc796e7ba879edc4', '5a2411f5dd4ab3b3'),
+    ('hash', 1, 4): ('49fd1be03ad9a4aa', 'ac1f9068681939ac'),
+    ('hash', 1, 16): ('e985540062352067', 'c4a725f478823e6e'),
+    ('hash', 7, 1): ('bf722dfe7f24d6ec', '68c90a6953e57d79'),
+    ('hash', 7, 4): ('82410583eeeff116', 'aed1c20db5f398cb'),
+    ('hash', 7, 16): ('8d4b1d9c0f84b5ba', 'b1a0daff98ff1e48'),
+    ('hash', 42, 1): ('657878d59f509996', '4a814c88b473eea4'),
+    ('hash', 42, 4): ('b955e169fdcdcc5f', 'c86832d2c639cf5b'),
+    ('hash', 42, 16): ('a1ed85a50770b17e', '39a5cf020de780bb'),
+    ('least-loaded', 1, 1): ('bc796e7ba879edc4', '5a2411f5dd4ab3b3'),
+    ('least-loaded', 1, 4): ('bc0d10627b2207b6', 'd788098dcd44344e'),
+    ('least-loaded', 1, 16): ('4fa7c3ead8db1486', '852ff7fde5c83d8c'),
+    ('least-loaded', 7, 1): ('bf722dfe7f24d6ec', '68c90a6953e57d79'),
+    ('least-loaded', 7, 4): ('51f6ea8f2b81997e', '1a7aacf460545733'),
+    ('least-loaded', 7, 16): ('1f2e7d063df26891', 'b9a0198ea9e10eec'),
+    ('least-loaded', 42, 1): ('657878d59f509996', '4a814c88b473eea4'),
+    ('least-loaded', 42, 4): ('536f333bee01a3cd', '4ea08f2526ee247a'),
+    ('least-loaded', 42, 16): ('d6c361e7264c2545', 'b0ad6aab389fb1fc'),
+    ('p2c', 1, 1): ('bc796e7ba879edc4', '5a2411f5dd4ab3b3'),
+    ('p2c', 1, 4): ('2ee87aa7af0213e3', '12ac6c671d952651'),
+    ('p2c', 1, 16): ('ab78b65f4425c5df', '89d38d4624169950'),
+    ('p2c', 7, 1): ('bf722dfe7f24d6ec', '68c90a6953e57d79'),
+    ('p2c', 7, 4): ('4f62f6f6f48faeca', 'e5e132de3bdb5c6d'),
+    ('p2c', 7, 16): ('4288476f822405d6', 'b3d16874d009ba87'),
+    ('p2c', 42, 1): ('657878d59f509996', '4a814c88b473eea4'),
+    ('p2c', 42, 4): ('bf3adc6926c38c33', '2646c4eb766dfbb5'),
+    ('p2c', 42, 16): ('226a48004997663a', '8c99dd60f27bac5b'),
+}
+
+
+class _AdmissionLog(TelemetrySink):
+    kinds = ("admission",)
+
+    def __init__(self):
+        self.events = []
+
+    def handle(self, event):
+        self.events.append(event)
+
+
+def _sha16(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+class TestFaultFreePlanPins:
+    @pytest.mark.parametrize("key", sorted(FAULT_FREE_PLAN_DIGESTS))
+    def test_plan_and_admission_log_match_pinned_digests(self, key):
+        policy, seed, n_shards = key
+        arrivals = FleetWorkload(
+            kind="uniform", condition=Condition.STRESS, n_apps=240
+        ).arrivals(seed)
+        bus = TelemetryBus()
+        log = bus.attach(_AdmissionLog())
+        plan = supervised_partition(
+            arrivals, n_shards, policy, seed, FaultSchedule(), telemetry=bus
+        )
+        streams = _sha16(
+            f"{shard}|{a.app_name}|{a.batch_size}|{a.time_ms!r}"
+            for shard, sub in enumerate(plan.streams)
+            for a in sub
+        )
+        events = _sha16(
+            f"{e.time_ms!r}|{e.app}|{e.batch}|{e.shard}" for e in log.events
+        )
+        assert (streams, events) == FAULT_FREE_PLAN_DIGESTS[key]
+        assert plan.served_count == len(arrivals)
+        assert plan.events == log.events
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,11 @@
 """Routing edge cases under shard failure.
 
-``route_live`` is the failure-aware admission surface the supervised
-control plane routes through: it must degenerate gracefully to a single
+``route(arrival, loads, live)`` is the one routing surface the supervised
+control plane admits through: it must degenerate gracefully to a single
 surviving shard, keep the consistent-hash ring's remap-stability promise
-when shards leave and rejoin, draw the *same* RNG sequence as ``route``
-when every shard is live (so fault-free supervised plans stay
-bit-identical to frozen plans), and make every decision independent of
-``PYTHONHASHSEED``.
+when shards leave and rejoin, make the pinned decisions and RNG draws
+when every shard is live (so fault-free plans never drift), and make
+every decision independent of ``PYTHONHASHSEED``.
 """
 
 import os
@@ -50,34 +49,45 @@ class TestSingleSurvivingShard:
         router = _policy(name)
         loads = (100.0, 5.0, 30.0, 0.0)
         for arrival in _arrivals():
-            assert router.route_live(arrival, loads, (2,)) == 2
+            assert router.route(arrival, loads, (2,)) == 2
 
     @pytest.mark.parametrize("name", policy_names())
     def test_empty_live_set_rejected(self, name):
         router = _policy(name)
         with pytest.raises(ValueError, match="at least one live shard"):
-            router.route_live(_arrivals(1)[0], (0.0,) * 4, ())
+            router.route(_arrivals(1)[0], (0.0,) * 4, ())
+
+
+#: Decisions (and one trailing probe) with every shard live, recorded
+#: from the frozen front-end's routing before it was folded into the
+#: supervisor; each routed arrival adds 1.0 to its shard's load.
+ALL_LIVE_DECISIONS = {
+    "hash": ([2, 0, 2, 1] * 6, 2),
+    "least-loaded": ([0, 1, 2, 3] * 6, 0),
+    "p2c": (
+        [3, 1, 1, 2, 2, 0, 3, 0, 1, 3, 2, 2,
+         0, 1, 0, 2, 0, 1, 2, 3, 3, 0, 0, 1],
+        3,
+    ),
+}
 
 
 class TestAllLiveEquivalence:
-    """With every shard live, route_live == route — decisions AND draws."""
+    """With every shard live, route makes the pinned decisions AND draws."""
 
     @pytest.mark.parametrize("name", policy_names())
     def test_same_decisions_and_rng_state(self, name):
-        frozen = _policy(name)
-        live_router = _policy(name)
+        router = _policy(name)
         live = tuple(range(4))
         loads = [0.0] * 4
+        decisions = []
         for arrival in _arrivals():
-            expected = frozen.route(arrival, tuple(loads))
-            got = live_router.route_live(arrival, tuple(loads), live)
-            assert got == expected
-            loads[got] += 1.0
-        # The RNG families must have advanced identically: the next
-        # unconstrained decision still agrees.
-        probe = _arrivals(1)[0]
-        assert frozen.route(probe, tuple(loads)) == \
-            live_router.route_live(probe, tuple(loads), live)
+            decisions.append(router.route(arrival, tuple(loads), live))
+            loads[decisions[-1]] += 1.0
+        # The RNG family must have advanced exactly as pinned: the next
+        # decision still agrees.
+        probe = router.route(_arrivals(1)[0], tuple(loads), live)
+        assert (decisions, probe) == ALL_LIVE_DECISIONS[name]
 
 
 class TestP2CTieBreak:
@@ -89,7 +99,7 @@ class TestP2CTieBreak:
         for arrival in _arrivals():
             first = rng_copy.randrange(4)
             rng_copy.randrange(4)  # the discarded second draw
-            assert router.route_live(arrival, (7.0,) * 4, (0, 1, 2, 3)) == first
+            assert router.route(arrival, (7.0,) * 4, (0, 1, 2, 3)) == first
 
     def test_draws_come_from_live_index_space(self):
         # With shards {1, 3} live the draws index the 2-element live
@@ -98,7 +108,7 @@ class TestP2CTieBreak:
         router = _policy("p2c")
         seen = set()
         for arrival in _arrivals(40):
-            shard = router.route_live(arrival, (0.0,) * 4, (1, 3))
+            shard = router.route(arrival, (0.0,) * 4, (1, 3))
             assert shard in (1, 3)
             seen.add(shard)
         assert seen == {1, 3}
@@ -110,11 +120,11 @@ class TestRingRemapStability:
         loads = (0.0,) * 4
         all_live = (0, 1, 2, 3)
         arrivals = _arrivals()
-        before = {a.app_name: router.route_live(a, loads, all_live)
+        before = {a.app_name: router.route(a, loads, all_live)
                   for a in arrivals}
         dead = before[arrivals[0].app_name]
         survivors = tuple(s for s in all_live if s != dead)
-        after = {a.app_name: router.route_live(a, loads, survivors)
+        after = {a.app_name: router.route(a, loads, survivors)
                  for a in arrivals}
         for app, owner in before.items():
             if owner != dead:
@@ -128,12 +138,12 @@ class TestRingRemapStability:
         loads = (0.0,) * 4
         all_live = (0, 1, 2, 3)
         arrivals = _arrivals()
-        before = {a.app_name: router.route_live(a, loads, all_live)
+        before = {a.app_name: router.route(a, loads, all_live)
                   for a in arrivals}
         # Kill shard 0, then bring it back: ownership is memoryless in
         # the live set, so the rejoin restores the original map exactly.
-        router.route_live(arrivals[0], loads, (1, 2, 3))
-        after = {a.app_name: router.route_live(a, loads, all_live)
+        router.route(arrivals[0], loads, (1, 2, 3))
+        after = {a.app_name: router.route(a, loads, all_live)
                  for a in arrivals}
         assert after == before
 
@@ -141,8 +151,8 @@ class TestRingRemapStability:
         router = _policy("hash")
         loads = (0.0,) * 4
         for arrival in _arrivals():
-            owner = router.route(arrival, loads)
-            assert router.route_live(arrival, loads, (owner,)) == owner
+            owner = router.route(arrival, loads, (0, 1, 2, 3))
+            assert router.route(arrival, loads, (owner,)) == owner
 
 
 class TestHashSeedIndependence:
@@ -158,7 +168,7 @@ class TestHashSeedIndependence:
             "for name in policy_names():\n"
             "    router = get_policy("
             "name, 4, SeededStreams(11).spawn('fleet-router'))\n"
-            "    out.append([router.route_live(a, (0.0,) * 4, (0, 2, 3))"
+            "    out.append([router.route(a, (0.0,) * 4, (0, 2, 3))"
             " for a in arrivals])\n"
             "print(out)\n"
         )
@@ -169,7 +179,7 @@ class TestHashSeedIndependence:
         )
         return result.stdout
 
-    def test_route_live_pinned_across_hash_seeds(self):
+    def test_route_pinned_across_hash_seeds(self):
         outputs = {s: self._decisions(s) for s in ("0", "4242", "random")}
         assert outputs["0"] == outputs["4242"] == outputs["random"]
 

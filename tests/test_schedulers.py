@@ -3,6 +3,7 @@
 import pytest
 
 from repro.apps import ApplicationInstance, BENCHMARKS, reset_instance_ids
+from repro.apps.pipeline import estimate_big_makespan_ms, estimate_makespan_ms
 from repro.config import DEFAULT_PARAMETERS
 from repro.fpga import BoardConfig, FPGABoard, SlotKind
 from repro.schedulers import (
@@ -10,7 +11,6 @@ from repro.schedulers import (
     FCFSScheduler,
     NimblockScheduler,
     RoundRobinScheduler,
-    allocate_slots_milp,
     optimal_big_slots,
     optimal_little_slots,
 )
@@ -20,6 +20,57 @@ from repro.sim import Engine
 @pytest.fixture(autouse=True)
 def _fresh_ids():
     reset_instance_ids()
+
+
+def allocate_slots_milp(apps, total_slots, pr_time_ms,
+                        estimate=estimate_makespan_ms,
+                        max_count=lambda spec: spec.task_count):
+    """Split ``total_slots`` slots across apps, minimizing summed makespan.
+
+    The MILP oracle for ``optimal_*_slots``: ``apps`` is a list of
+    ``(spec, batch_size)``, with one binary per (app, slot count) pair,
+    costed by ``estimate`` and capped by ``max_count(spec)``.  Every app
+    receives at least one slot.  Needs numpy and scipy.
+    """
+    if total_slots < 1:
+        raise ValueError(f"total_slots must be >= 1, got {total_slots}")
+    if not apps:
+        return []
+    n_apps = len(apps)
+    if n_apps > total_slots:
+        raise ValueError(
+            f"milp allocator needs slots >= apps ({n_apps} apps, "
+            f"{total_slots} slots); queue the surplus apps first"
+        )
+    np = pytest.importorskip("numpy")
+    optimize = pytest.importorskip("scipy.optimize")
+    costs, index = [], []
+    for i, (spec, batch) in enumerate(apps):
+        for s in range(1, min(max_count(spec), total_slots) + 1):
+            costs.append(estimate(spec, batch, s, pr_time_ms))
+            index.append((i, s))
+    n_vars = len(costs)
+    # One slot-count choice per app, total slots within budget.
+    choice = np.zeros((n_apps, n_vars))
+    for j, (i, _) in enumerate(index):
+        choice[i, j] = 1.0
+    slots_row = np.array([[s for (_, s) in index]], dtype=float)
+    result = optimize.milp(
+        c=np.array(costs),
+        constraints=[
+            optimize.LinearConstraint(choice, lb=np.ones(n_apps), ub=np.ones(n_apps)),
+            optimize.LinearConstraint(slots_row, lb=[0.0], ub=[float(total_slots)]),
+        ],
+        integrality=np.ones(n_vars),
+        bounds=optimize.Bounds(lb=np.zeros(n_vars), ub=np.ones(n_vars)),
+    )
+    assert result.success, result.message
+    chosen = [0] * n_apps
+    for j, picked in enumerate(result.x):
+        if picked > 0.5:
+            i, s = index[j]
+            chosen[i] = s
+    return chosen
 
 
 def make_board(config=BoardConfig.ONLY_LITTLE):
@@ -225,6 +276,35 @@ class TestILP:
 
     def test_milp_empty(self):
         assert allocate_slots_milp([], 8, 100.0) == []
+
+    @pytest.mark.parametrize("batch", (1, 5, 20))
+    def test_optimal_little_matches_milp_oracle(self, batch):
+        # O_L is the smallest count within 5% of the best makespan, so it
+        # never exceeds the MILP's makespan-optimal count for a lone app.
+        pr_ms = DEFAULT_PARAMETERS.little_pr_ms
+        for spec in BENCHMARKS.values():
+            (best,) = allocate_slots_milp([(spec, batch)], 8, pr_ms)
+            chosen = optimal_little_slots(spec, batch, pr_ms, 8)
+            assert chosen <= best
+            assert estimate_makespan_ms(spec, batch, chosen, pr_ms) <= (
+                1.05 * estimate_makespan_ms(spec, batch, best, pr_ms)
+            )
+
+    @pytest.mark.parametrize("batch", (1, 5, 20))
+    def test_optimal_big_matches_milp_oracle(self, batch):
+        pr_ms = DEFAULT_PARAMETERS.big_pr_ms
+        for spec in BENCHMARKS.values():
+            if not spec.can_bundle:
+                continue
+            (best,) = allocate_slots_milp(
+                [(spec, batch)], 2, pr_ms, estimate=estimate_big_makespan_ms,
+                max_count=lambda app: len(app.bundles),
+            )
+            chosen = optimal_big_slots(spec, batch, pr_ms, 2)
+            assert chosen <= best
+            assert estimate_big_makespan_ms(spec, batch, chosen, pr_ms) <= (
+                1.05 * estimate_big_makespan_ms(spec, batch, best, pr_ms)
+            )
 
 
 class TestRuntimeInvariants:
