@@ -8,9 +8,12 @@ The CI gate behind the durable event store's core promise:
 2. run the same campaign into a second store and SIGKILL the process
    partway (after at least one record has landed, before the last);
 3. rerun with ``--resume``;
-4. assert the records, the rollup table, and the projection-backed
-   replay report are identical between the clean and the resumed store
-   (raw file bytes for the JSONL backend).
+4. assert the records, the rollup table, and the replay report are
+   identical between the clean and the resumed store (raw file bytes for
+   the JSONL format).
+
+``--backend`` picks the store format through the ``--out`` suffix only:
+``.jsonl`` is a plain results file, ``.sqlite`` the SQLite event store.
 
 Artifacts (stdout captures + replay JSON of both stores) land in
 ``--workdir`` so a mismatch uploads everything needed to triage.
@@ -105,7 +108,8 @@ def fail(workdir: Path, what: str, clean, resumed) -> None:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--backend", choices=("jsonl", "sqlite"),
-                        default="jsonl")
+                        default="jsonl",
+                        help="store format, chosen by the --out suffix")
     parser.add_argument("--scenario", default="fleet-smoke")
     parser.add_argument("--apps", type=int, default=120,
                         help="arrival-stream size (bigger = wider kill window)")
@@ -124,7 +128,6 @@ def main() -> int:
     base = [
         sys.executable, "-m", "repro", "fleet", "run", args.scenario,
         "--apps", str(args.apps), "--snapshot-every", "1",
-        "--store-backend", args.backend,
     ]
 
     print(f"[1/4] clean run -> {clean_out}")
@@ -164,7 +167,7 @@ def main() -> int:
     if "resume:" not in resume.stdout:
         fail(workdir, "resume accounting line", clean.stdout, resume.stdout)
 
-    print("[4/4] compare records / rollups / projection report")
+    print("[4/4] compare records / rollups / replay report")
     if args.backend == "jsonl":
         if clean_out.read_bytes() != resumed_out.read_bytes():
             fail(workdir, "results-file bytes",
@@ -176,7 +179,7 @@ def main() -> int:
     (workdir / "clean.replay.json").write_text(json.dumps(clean_replay))
     (workdir / "resumed.replay.json").write_text(json.dumps(resumed_replay))
     if clean_replay != resumed_replay:
-        fail(workdir, "projection replay report", clean_replay, resumed_replay)
+        fail(workdir, "replay report", clean_replay, resumed_replay)
     if clean_replay["skipped_lines"] != 0:
         fail(workdir, "skipped-line count (must be 0)", clean_replay, resumed_replay)
     if rollup_table(clean.stdout) != rollup_table(resume.stdout):

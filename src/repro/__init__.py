@@ -42,7 +42,7 @@ from importlib import import_module
 #: Read by ``setup.py`` without importing the package.
 __version__ = "0.6.0"
 
-#: Snapshot cadence (cells per checkpoint) that ``--resume`` implies.
+#: Record-append cadence (cells per store append) that ``--resume`` implies.
 #: Kept here so the CLI parser can show it without loading ``repro.store``.
 DEFAULT_SNAPSHOT_EVERY = 25
 

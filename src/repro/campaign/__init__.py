@@ -13,11 +13,11 @@ and the benches) is layered on top of this package:
 * :mod:`repro.campaign.runner` — :class:`CampaignRunner`, tying the three
   together.
 
-Durable persistence beyond the plain JSONL file — snapshots, resumable
-campaigns, the SQLite recorder, incremental report projections — lives
-in :mod:`repro.store`; the runner and :func:`load_records` route through
-it when those features are requested (or a SQLite path is given), and
-stay byte-identical to the legacy path otherwise.
+A results path picks its store in :mod:`repro.store`: a JSONL path is a
+plain :class:`ResultsStore` (records only), a ``.sqlite``/``.db`` path the
+SQLite store (records, telemetry events, incremental report
+projections).  The runner and :func:`load_records` accept either;
+resumable, chunked execution lives in :mod:`repro.store.resume`.
 """
 
 from .. import lazy_exports

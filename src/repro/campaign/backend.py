@@ -187,8 +187,7 @@ class CampaignCell:
     #: Simulation kernel to run on (a ``repro.verify.reference.KERNELS``
     #: name); "default" is the production :class:`~repro.sim.Engine`, and
     #: the verify layer runs the same cell on the reference kernel too and
-    #: diffs the outcomes.  Event-log headers and store snapshot
-    #: fingerprints persist the name.
+    #: diffs the outcomes.  Event-log headers persist the name.
     kernel: str = "default"
     #: Fleet shard index this cell simulates; -1 for non-fleet cells.
     shard: int = -1
@@ -339,8 +338,8 @@ class SerialBackend:
     :func:`repro.store.resume.execute_with_store`): ``run`` returns one
     record per input cell, in input order, and each record depends only
     on its own cell — never on which other cells shared the call.  That
-    is what lets the store layer dispatch cells in snapshot-sized chunks
-    (and re-dispatch only the unfinished ones on ``--resume``) with
+    is what lets the store layer dispatch cells in ``--snapshot-every``
+    chunks (and re-dispatch only the unfinished ones on ``--resume``) with
     results bit-identical to one monolithic ``run``.
     """
 

@@ -185,6 +185,14 @@ class ResultsStore:
         #: Lines the most recent :meth:`load` skipped as truncated.
         self.skipped_lines = 0
 
+    # A context manager like the SQLite store, so readers can hold either
+    # format in one ``with``; every call opens and closes its own file.
+    def __enter__(self) -> "ResultsStore":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        pass
+
     def write(self, records: Iterable[RunRecord]) -> Path:
         """Atomically replace the file's contents with ``records``."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -294,17 +302,14 @@ class ResultsStore:
 
 
 def load_records(path: Union[str, Path]) -> List[RunRecord]:
-    """Convenience loader used by the CLI ``replay`` command.
+    """Every record of the results file or SQLite store at ``path``.
 
-    Accepts both on-disk formats: plain results JSONL and the SQLite
-    event store (sniffed by suffix or file magic).
+    Raises :class:`FileNotFoundError` for a missing path in either format.
     """
-    from ..store import is_sqlite_path, open_store  # lazy: avoids a cycle
+    from ..store import read_store  # lazy: avoids a cycle
 
-    if is_sqlite_path(path):
-        with open_store(path, backend="sqlite") as store:
-            return store.load()
-    return ResultsStore(path).load()
+    with read_store(path) as store:
+        return store.load()
 
 
 def merged_response_summary(records: Iterable[RunRecord]):

@@ -7,7 +7,7 @@ from typing import List, Optional, Sequence, Union
 
 from ..config import SystemParameters
 from .backend import CampaignCell, make_backend
-from .results import ResultsStore, RunRecord
+from .results import RunRecord
 from .scenario import Scenario, get_scenario
 
 
@@ -17,14 +17,12 @@ class CampaignRunner:
     ``jobs=1`` selects the deterministic serial reference backend;
     ``jobs=N`` fans cells out over N worker processes.  When a ``store``
     (or path) is given, every produced record is appended there so figures
-    can later be replayed without re-simulating.  Paths keep their legacy
-    JSONL behavior unless durability features are requested:
-    ``snapshot_every`` checkpoints a resumable
-    :class:`~repro.store.snapshot.CampaignSnapshot` into the store every N
-    completed cells, ``resume`` skips cells the store already holds a
-    successful record for, and ``store_backend`` selects the recorder
-    (``"jsonl"`` / ``"sqlite"``; paths with a SQLite suffix or file magic
-    auto-select SQLite).
+    can later be replayed without re-simulating; the path picks the
+    format (:func:`~repro.store.campaign_store.open_store`: a plain JSONL
+    results file, or a SQLite store for ``.sqlite``/``.db``).
+    ``snapshot_every`` appends records every N completed cells instead of
+    once at the end, and ``resume`` skips cells the store already holds a
+    successful record for.
     """
 
     def __init__(
@@ -38,7 +36,6 @@ class CampaignRunner:
         timeout_s: Optional[float] = None,
         snapshot_every: int = 0,
         resume: bool = False,
-        store_backend: Optional[str] = None,
     ) -> None:
         self.backend = (
             backend
@@ -50,35 +47,17 @@ class CampaignRunner:
         #: Outcome of the most recent :meth:`run_cells` (resumed/executed
         #: counts) — the CLI surfaces it after a ``--resume`` run.
         self.last_outcome = None
-        self.store = self._resolve_store(store, store_backend)
+        if isinstance(store, (str, Path)):
+            from ..store import open_store
+
+            store = open_store(store)
+        self.store = store
         self.base_params = base_params
         #: Persist raw per-request samples on records (``--raw-samples``);
         #: off by default — records carry the bounded-memory digest.
         self.raw_samples = raw_samples
         #: When set, every cell writes its typed event stream under here.
         self.events_dir = Path(events_dir) if events_dir is not None else None
-
-    def _resolve_store(self, store, store_backend: Optional[str]):
-        """Map the ``store`` argument onto a concrete store object.
-
-        Store objects pass through untouched.  A path stays a plain
-        :class:`ResultsStore` (the legacy, bit-identical default) unless
-        snapshots/resume/an explicit or sniffed non-JSONL backend ask for
-        the event store.
-        """
-        if store is None or not isinstance(store, (str, Path)):
-            return store
-        from ..store import is_sqlite_path, open_store
-
-        wants_event_store = (
-            self.resume
-            or self.snapshot_every > 0
-            or store_backend is not None
-            or is_sqlite_path(store)
-        )
-        if wants_event_store:
-            return open_store(store, backend=store_backend)
-        return ResultsStore(store)
 
     def cells_for(self, scenario: Scenario) -> List[CampaignCell]:
         """Enumerate a scenario into cells, sequence-major then system.

@@ -433,7 +433,6 @@ class Fleet:
         timeout_s: Optional[float] = None,
         snapshot_every: int = 0,
         resume: bool = False,
-        store_backend: Optional[str] = None,
     ) -> FleetResult:
         """Execute every shard cell and roll the records up.
 
@@ -445,11 +444,12 @@ class Fleet:
         the full telemetry stream: one admission log per seed from the
         front-end plus one event log per (seed × shard) cell.
 
-        ``snapshot_every`` / ``resume`` / ``store_backend`` opt the run
-        into the durable event store (:mod:`repro.store`): records append
-        in checkpointed chunks and an interrupted run resumed with
-        ``resume=True`` skips finished shard cells, producing records and
-        rollups bit-identical to an uninterrupted run.
+        ``store`` is a store object or a path; the path picks the format
+        (a plain JSONL results file, or a SQLite store for
+        ``.sqlite``/``.db``).  ``snapshot_every`` appends records every N
+        shard cells instead of once at the end; an interrupted run
+        resumed with ``resume=True`` skips finished shard cells, producing
+        records and rollups bit-identical to an uninterrupted run.
         """
         backend = make_backend(jobs, timeout_s=timeout_s)
         plans, serving_plans = self.plan_bundle(events_dir=events_dir)
@@ -459,18 +459,6 @@ class Fleet:
             keep_raw_samples=keep_raw_samples,
             events_dir=events_dir,
         )
-        if isinstance(store, (str, Path)):
-            from ..store import is_sqlite_path, open_store
-
-            if (
-                resume
-                or snapshot_every > 0
-                or store_backend is not None
-                or is_sqlite_path(store)
-            ):
-                store = open_store(store, backend=store_backend)
-            else:
-                store = ResultsStore(store)
         from ..store.resume import execute_with_store
 
         outcome = execute_with_store(

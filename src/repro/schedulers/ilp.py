@@ -111,7 +111,3 @@ def optimal_big_slots(
     except KeyError:
         return _search_big(app, batch_size, big_pr_time_ms, max_slots)
 
-
-def clear_caches() -> None:
-    """Drop memoised optimal-slot results (test isolation)."""
-    _optimal_little.cache_clear()

@@ -1,27 +1,29 @@
-"""Durable event store: recorders, notification log, snapshots, projections.
+"""Persistence: one store per file format, resume, incremental projections.
 
-The persistence spine of the repo (PR 9): every campaign record, telemetry
-event and periodic snapshot flows through one monotonically numbered
-notification log behind a pluggable :class:`EventRecorder` —
-single-file SQLite (:class:`SqliteRecorder`) or the legacy campaign JSONL
-format (:class:`JsonlRecorder`, bit-compatible with existing
-``results/*.jsonl`` files).  On top of the log: ``--resume`` via
-:class:`CampaignSnapshot` checkpoints (:mod:`repro.store.resume`) and
-reports as watermark-tracked incremental projections
-(:mod:`repro.store.projections`), all audited by
-:func:`repro.store.audit.check_store` (``repro store verify``).
+A results path names one of two formats (:func:`open_store` picks by
+suffix or file magic):
+
+* a **JSONL** results file is a plain
+  :class:`~repro.campaign.results.ResultsStore` — records only;
+* a **SQLite** database is a :class:`CampaignStore` — one monotonically
+  numbered notification log of records and telemetry events, plus the
+  persisted state of watermark-tracked incremental projections
+  (:mod:`repro.store.projections`).
+
+:func:`execute_with_store` runs campaign cells into either, in chunks,
+and ``--resume`` skips the cells whose records the store already holds
+(:mod:`repro.store.resume`).  :func:`repro.store.audit.check_store`
+(``repro store verify``) audits both formats.
 """
 
 from .. import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(globals(), {
     "campaign_store": (
-        "CampaignStore", "RECORDER_BACKENDS", "as_campaign_store",
-        "open_store",
+        "CampaignStore", "is_sqlite_path", "open_store", "read_store",
     ),
     "notification": (
-        "KIND_EVENT", "KIND_RECORD", "KIND_SNAPSHOT", "NOTIFICATION_KINDS",
-        "Notification", "NotificationLog",
+        "KIND_EVENT", "KIND_RECORD", "NOTIFICATION_KINDS", "Notification",
     ),
     "projections": (
         "FigureProjection", "FleetRollupProjection", "Projection",
@@ -29,45 +31,31 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "default_projections", "update_projections",
         "verify_store_projections",
     ),
-    "recorder": (
-        "EventRecorder", "JsonlRecorder", "SqliteRecorder", "is_sqlite_path",
-    ),
     "resume": (
-        "DEFAULT_SNAPSHOT_EVERY", "ExecutionOutcome", "execute_with_store",
-    ),
-    "snapshot": (
-        "CampaignSnapshot", "SNAPSHOT_SCHEMA", "cell_key", "cell_spec",
+        "DEFAULT_SNAPSHOT_EVERY", "ExecutionOutcome", "cell_key",
+        "execute_with_store",
     ),
 })
 
 __all__ = [
-    "CampaignSnapshot",
     "CampaignStore",
     "DEFAULT_SNAPSHOT_EVERY",
-    "EventRecorder",
     "ExecutionOutcome",
     "FigureProjection",
     "FleetRollupProjection",
-    "JsonlRecorder",
     "KIND_EVENT",
     "KIND_RECORD",
-    "KIND_SNAPSHOT",
     "NOTIFICATION_KINDS",
     "Notification",
-    "NotificationLog",
     "Projection",
-    "RECORDER_BACKENDS",
     "RecordSummaryProjection",
-    "SNAPSHOT_SCHEMA",
-    "SqliteRecorder",
     "TelemetryCounterProjection",
-    "as_campaign_store",
     "cell_key",
-    "cell_spec",
     "default_projections",
     "execute_with_store",
     "is_sqlite_path",
     "open_store",
+    "read_store",
     "update_projections",
     "verify_store_projections",
 ]

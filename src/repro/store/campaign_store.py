@@ -1,159 +1,217 @@
-"""The high-level campaign store: records, events and snapshots on one log.
+"""The SQLite event store, and the one path -> store mapping.
 
-:class:`CampaignStore` is what the persistence layer hands the campaign
-runner and the fleet: a :class:`~repro.store.recorder.EventRecorder`
-wrapped in the domain vocabulary — append :class:`RunRecord` batches,
-ingest telemetry events, checkpoint :class:`CampaignSnapshot`\\ s, read
-everything back as one ordered notification log.  It is
-``ResultsStore``-compatible (``extend`` / ``load`` / ``path`` /
-``skipped_lines``), so every existing call site keeps working while
-gaining snapshots, resume and incremental projections.
+A results path names one of two formats, picked by :func:`is_sqlite_path`:
+
+* a JSONL results file — a plain :class:`~repro.campaign.results
+  .ResultsStore` holding records only;
+* a SQLite database — a :class:`CampaignStore`: one notification log of
+  records and telemetry events plus the persisted projection states.
+
+:func:`open_store` opens either for writing (creating it);
+:func:`read_store` opens an existing one and never creates a file.
+
+A :class:`CampaignStore` is single-file SQLite in WAL mode.  Batch
+appends are one transaction, so a killed writer leaves a clean prefix at
+transaction granularity: either the whole batch is visible after reopen
+or none of it is, never a torn record.  It assumes one writer (the
+campaign orchestrator); readers may open the same store concurrently.
 """
 
 from __future__ import annotations
 
+import json
+import sqlite3
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
+from ..campaign.results import ResultsStore, RunRecord
 from .notification import (
     KIND_EVENT,
     KIND_RECORD,
-    KIND_SNAPSHOT,
+    NOTIFICATION_KINDS,
     Notification,
-    NotificationLog,
 )
-from .recorder import (
-    EventRecorder,
-    JsonlRecorder,
-    SqliteRecorder,
-    is_sqlite_path,
-)
-from .snapshot import CampaignSnapshot
 
-#: Recorder constructors by backend tag (the ``--store-backend`` choices).
-RECORDER_BACKENDS = {
-    "jsonl": JsonlRecorder,
-    "sqlite": SqliteRecorder,
-}
+#: File suffixes recognized as SQLite stores without sniffing content.
+SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
+#: The 16-byte magic prefix of every SQLite database file.
+SQLITE_MAGIC = b"SQLite format 3\x00"
+
+
+def is_sqlite_path(path: Union[str, Path]) -> bool:
+    """True when ``path`` names an (existing or intended) SQLite store."""
+    path = Path(path)
+    if path.suffix.lower() in SQLITE_SUFFIXES:
+        return True
+    try:
+        with path.open("rb") as handle:
+            return handle.read(len(SQLITE_MAGIC)) == SQLITE_MAGIC
+    except OSError:
+        return False
 
 
 class CampaignStore:
-    """Domain surface over one durable notification log."""
+    """Records, telemetry events and projection states in one SQLite file.
 
-    def __init__(self, recorder: EventRecorder) -> None:
-        self.recorder = recorder
-        self.log = NotificationLog(recorder)
+    ``extend`` / ``load`` / ``path`` / ``skipped_lines`` match
+    :class:`~repro.campaign.results.ResultsStore`, so the campaign runner
+    and the readers treat both formats alike; ``extend`` also folds the
+    built-in projections up to the log head.
+    """
+
+    #: Parity with the JSONL results store: SQLite cannot tear lines.
+    skipped_lines = 0
+
+    def __init__(self, path: Union[str, Path]) -> None:
+        self.path = Path(path)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._conn = sqlite3.connect(str(self.path), isolation_level=None)
+        self._conn.execute("PRAGMA journal_mode=WAL")
+        self._conn.execute("PRAGMA synchronous=NORMAL")
+        self._conn.execute(
+            "CREATE TABLE IF NOT EXISTS notifications ("
+            " id INTEGER PRIMARY KEY AUTOINCREMENT,"
+            " kind TEXT NOT NULL,"
+            " payload TEXT NOT NULL)"
+        )
+        self._conn.execute(
+            "CREATE TABLE IF NOT EXISTS projections ("
+            " name TEXT PRIMARY KEY,"
+            " watermark INTEGER NOT NULL,"
+            " state TEXT NOT NULL)"
+        )
 
     # -- ResultsStore-compatible surface ---------------------------------
-    @property
-    def path(self) -> Path:
-        return self.recorder.path
+    def extend(self, records: Iterable[RunRecord]) -> Path:
+        """Durably append records and fold the projections over them."""
+        from .projections import update_projections
 
-    @property
-    def skipped_lines(self) -> int:
-        return getattr(self.recorder, "skipped_lines", 0)
-
-    def extend(self, records: Iterable) -> Path:
-        """Durably append records (the ``ResultsStore.extend`` contract)."""
         self.append_records(records)
+        update_projections(self)
         return self.path
 
-    def load(self) -> List:
+    def load(self) -> List[RunRecord]:
         """Every persisted :class:`RunRecord`, in notification order."""
-        from ..campaign.results import RunRecord  # lazy: avoids a cycle
-
         return [
-            RunRecord.from_dict(n.payload)
-            for n in self.recorder.select()
-            if n.kind == KIND_RECORD
+            RunRecord.from_dict(json.loads(row[0]))
+            for row in self._conn.execute(
+                "SELECT payload FROM notifications WHERE kind = ? "
+                "ORDER BY id",
+                (KIND_RECORD,),
+            )
         ]
 
-    # -- notification-log surface ----------------------------------------
-    def select(
-        self, start: int = 1, limit: Optional[int] = None
-    ) -> List[Notification]:
-        return self.recorder.select(start=start, limit=limit)
+    # -- notification log ------------------------------------------------
+    def append(
+        self, entries: Iterable[Tuple[str, Dict[str, object]]]
+    ) -> List[int]:
+        """Durably append ``(kind, payload)`` entries as one atomic batch.
 
-    def max_id(self) -> int:
-        return self.recorder.max_id()
+        Returns the assigned notification ids, in entry order.  Ids are
+        dense and strictly increasing across the log's whole lifetime.
+        """
+        rows = []
+        for kind, payload in entries:
+            if kind not in NOTIFICATION_KINDS:
+                raise ValueError(
+                    f"unknown notification kind {kind!r}; "
+                    f"known: {', '.join(NOTIFICATION_KINDS)}"
+                )
+            rows.append((kind, json.dumps(payload, sort_keys=True)))
+        if not rows:
+            return []
+        cur = self._conn.cursor()
+        cur.execute("BEGIN IMMEDIATE")
+        try:
+            # One batched statement per append: the transaction already
+            # holds the write lock, so ids stay dense and the batch lands
+            # (or rolls back) as a unit.  AUTOINCREMENT guarantees the
+            # new ids follow the pre-insert maximum.
+            row = cur.execute(
+                "SELECT COALESCE(MAX(id), 0) FROM notifications"
+            ).fetchone()
+            first = int(row[0]) + 1
+            cur.executemany(
+                "INSERT INTO notifications (kind, payload) VALUES (?, ?)",
+                rows,
+            )
+            cur.execute("COMMIT")
+        except BaseException:
+            cur.execute("ROLLBACK")
+            raise
+        return list(range(first, first + len(rows)))
 
-    def counts(self) -> Dict[str, int]:
-        return self.recorder.counts()
-
-    def append_records(self, records: Iterable) -> List[int]:
-        return self.recorder.append(
+    def append_records(self, records: Iterable[RunRecord]) -> List[int]:
+        return self.append(
             (KIND_RECORD, record.to_dict()) for record in records
         )
 
     def append_events(self, events: Iterable) -> List[int]:
         """Flow typed telemetry events through the notification log."""
-        return self.recorder.append(
-            (KIND_EVENT, event.to_dict()) for event in events
+        return self.append((KIND_EVENT, event.to_dict()) for event in events)
+
+    def select(
+        self, start: int = 1, limit: Optional[int] = None
+    ) -> List[Notification]:
+        """Notifications with ``id >= start``, oldest first."""
+        sql = (
+            "SELECT id, kind, payload FROM notifications "
+            "WHERE id >= ? ORDER BY id"
         )
+        args: Tuple = (start,)
+        if limit is not None:
+            sql += " LIMIT ?"
+            args = (start, limit)
+        return [
+            Notification(id=row[0], kind=row[1], payload=json.loads(row[2]))
+            for row in self._conn.execute(sql, args)
+        ]
 
-    def record_snapshot(self, snapshot: CampaignSnapshot) -> int:
-        (nid,) = self.recorder.append([(KIND_SNAPSHOT, snapshot.to_dict())])
-        return nid
+    def max_id(self) -> int:
+        """The newest notification id (0 when the log is empty)."""
+        row = self._conn.execute(
+            "SELECT COALESCE(MAX(id), 0) FROM notifications"
+        ).fetchone()
+        return int(row[0])
 
-    def latest_snapshot(self) -> Optional[CampaignSnapshot]:
-        """The newest persisted snapshot (None when there is none)."""
-        newest: Optional[CampaignSnapshot] = None
-        for notification in self.recorder.select():
-            if notification.kind == KIND_SNAPSHOT:
-                newest = CampaignSnapshot.from_dict(notification.payload)
-        return newest
+    def counts(self) -> Dict[str, int]:
+        """Notification counts per kind."""
+        return {
+            row[0]: row[1]
+            for row in self._conn.execute(
+                "SELECT kind, COUNT(*) FROM notifications "
+                "GROUP BY kind ORDER BY kind"
+            )
+        }
 
-    def completed_cells(self) -> Tuple[Dict[str, object], int]:
-        """Completed cell keys -> record payloads, plus the resume read size.
-
-        The resume contract: start from the latest snapshot's completed
-        set, then fold only record notifications with ``id >
-        snapshot.covered_id`` — the second element counts how many
-        notifications that tail read actually touched, so tests can
-        assert resume never re-reads the snapshotted prefix.  Failure
-        records (``error`` non-empty) never count as completed: a resumed
-        run re-executes them.
-        """
-        from ..campaign.results import RunRecord  # lazy: avoids a cycle
-        from .snapshot import cell_key
-
-        snapshot = self.latest_snapshot()
-        completed: Dict[str, object] = {}
-        start = 1
-        if snapshot is not None:
-            start = snapshot.covered_id + 1
-            # Payloads for the snapshotted prefix still come from the log
-            # (the snapshot carries keys, not full records) — but the
-            # *tail* scan below is bounded by the snapshot watermark.
-            for notification in self.recorder.select(limit=None):
-                if notification.id > snapshot.covered_id:
-                    break
-                if notification.kind != KIND_RECORD:
-                    continue
-                record = RunRecord.from_dict(notification.payload)
-                if not record.failed:
-                    completed[cell_key(record)] = record
-        tail = self.recorder.select(start=start)
-        for notification in tail:
-            if notification.kind != KIND_RECORD:
-                continue
-            record = RunRecord.from_dict(notification.payload)
-            if not record.failed:
-                completed[cell_key(record)] = record
-        return completed, len(tail)
-
+    # -- projection states -----------------------------------------------
     def get_projection(
         self, name: str
     ) -> Tuple[int, Optional[Dict[str, object]]]:
-        return self.recorder.get_projection(name)
+        """A projection's persisted ``(watermark, state)`` (``(0, None)``
+        when it has never been saved)."""
+        row = self._conn.execute(
+            "SELECT watermark, state FROM projections WHERE name = ?", (name,)
+        ).fetchone()
+        if row is None:
+            return 0, None
+        return int(row[0]), json.loads(row[1])
 
     def set_projection(
         self, name: str, watermark: int, state: Dict[str, object]
     ) -> None:
-        self.recorder.set_projection(name, watermark, state)
+        """Persist a projection's watermark and folded state."""
+        self._conn.execute(
+            "INSERT INTO projections (name, watermark, state) "
+            "VALUES (?, ?, ?) ON CONFLICT(name) DO UPDATE SET "
+            "watermark = excluded.watermark, state = excluded.state",
+            (name, watermark, json.dumps(state, sort_keys=True)),
+        )
 
     def close(self) -> None:
-        self.recorder.close()
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None  # type: ignore[assignment]
 
     def __enter__(self) -> "CampaignStore":
         return self
@@ -163,50 +221,34 @@ class CampaignStore:
 
 
 def open_store(
-    path: Union[str, Path], backend: Optional[str] = None
-) -> CampaignStore:
-    """Open (or create) the campaign store at ``path``.
+    path: Union[str, Path]
+) -> Union[ResultsStore, CampaignStore]:
+    """Open (or create) the store at ``path``; the path picks the format.
 
-    ``backend`` forces an adapter (``"jsonl"`` / ``"sqlite"``); when
-    omitted the path is sniffed — a ``.sqlite``/``.db`` suffix or SQLite
-    file magic selects :class:`SqliteRecorder`, anything else (including
-    every legacy ``results/*.jsonl`` file) the wrapping
-    :class:`JsonlRecorder`.
+    A ``.sqlite``/``.db`` suffix or SQLite file magic gives a
+    :class:`CampaignStore`; anything else a plain :class:`ResultsStore`.
     """
-    if backend is None:
-        backend = "sqlite" if is_sqlite_path(path) else "jsonl"
-    try:
-        recorder_cls = RECORDER_BACKENDS[backend]
-    except KeyError:
-        raise ValueError(
-            f"unknown store backend {backend!r}; "
-            f"available: {', '.join(RECORDER_BACKENDS)}"
-        ) from None
-    return CampaignStore(recorder_cls(path))
+    return CampaignStore(path) if is_sqlite_path(path) else ResultsStore(path)
 
 
-def as_campaign_store(store) -> CampaignStore:
-    """Upgrade any store-like argument to a :class:`CampaignStore`.
+def read_store(
+    path: Union[str, Path]
+) -> Union[ResultsStore, CampaignStore]:
+    """Open the existing store at ``path`` for reading.
 
-    Accepts an existing :class:`CampaignStore`, a plain
-    :class:`~repro.campaign.results.ResultsStore` (wrapped on the same
-    path, records preserved), or a path.
+    Raises :class:`FileNotFoundError` when nothing is there, so a read
+    never leaves a new file behind.
     """
-    if isinstance(store, CampaignStore):
-        return store
-    if isinstance(store, (str, Path)):
-        return open_store(store)
-    path = getattr(store, "path", None)
-    if path is None:
-        raise TypeError(
-            f"cannot upgrade {type(store).__name__} to a CampaignStore"
-        )
+    if not Path(path).is_file():
+        raise FileNotFoundError(2, "No such file or directory", str(path))
     return open_store(path)
 
 
 __all__ = [
     "CampaignStore",
-    "RECORDER_BACKENDS",
-    "as_campaign_store",
+    "SQLITE_MAGIC",
+    "SQLITE_SUFFIXES",
+    "is_sqlite_path",
     "open_store",
+    "read_store",
 ]

@@ -1,29 +1,27 @@
-"""Notifications: the globally ordered unit of the durable event store.
+"""Notifications: the globally ordered unit of the SQLite event store.
 
-Everything the store persists — campaign :class:`~repro.campaign.results
-.RunRecord` rows, typed telemetry events, periodic campaign snapshots —
-flows through one monotonically numbered *notification log* (the
-recorder/notification-log split of classic event-sourcing systems).  A
-:class:`Notification` is a ``(id, kind, payload)`` triple: ``id`` is
-assigned by the recorder at append time and is dense and strictly
-increasing, so any consumer can resume from a watermark with
-``select(start, limit)`` and never re-read what it already folded.
+Everything a SQLite store persists — campaign :class:`~repro.campaign
+.results.RunRecord` rows and typed telemetry events — flows through one
+monotonically numbered *notification log*.  A :class:`Notification` is a
+``(id, kind, payload)`` triple: ``id`` is assigned at append time and is
+dense and strictly increasing, so any consumer can resume from a
+watermark with ``select(start, limit)`` and never re-read what it
+already folded.  Readers skip kinds they do not fold, so rows of kinds
+no longer written (the ``snapshot`` rows of older stores) stay readable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict
 
 #: A persisted campaign run record (payload = ``RunRecord.to_dict()``).
 KIND_RECORD = "record"
 #: A typed telemetry event (payload = ``TelemetryEvent.to_dict()``).
 KIND_EVENT = "event"
-#: A periodic campaign snapshot (payload = ``CampaignSnapshot.to_dict()``).
-KIND_SNAPSHOT = "snapshot"
 
-#: The closed set of notification kinds a recorder will accept.
-NOTIFICATION_KINDS = (KIND_RECORD, KIND_EVENT, KIND_SNAPSHOT)
+#: The closed set of notification kinds a store will append.
+NOTIFICATION_KINDS = (KIND_RECORD, KIND_EVENT)
 
 
 @dataclass(frozen=True)
@@ -34,49 +32,10 @@ class Notification:
     kind: str
     payload: Dict[str, object]
 
-    def __post_init__(self) -> None:
-        if self.kind not in NOTIFICATION_KINDS:
-            raise ValueError(
-                f"unknown notification kind {self.kind!r}; "
-                f"known: {', '.join(NOTIFICATION_KINDS)}"
-            )
-
-
-class NotificationLog:
-    """The ordered read surface over a recorder.
-
-    ``select(start, limit)`` returns notifications with ``id >= start``
-    in id order — the only read primitive projections and resume need.
-    A thin view object (rather than the recorder itself) so consumers
-    that should only *read* never see the append surface.
-    """
-
-    def __init__(self, recorder) -> None:
-        self._recorder = recorder
-
-    def select(
-        self, start: int = 1, limit: Optional[int] = None
-    ) -> List[Notification]:
-        """Notifications with ``id >= start``, oldest first."""
-        return self._recorder.select(start=start, limit=limit)
-
-    def max_id(self) -> int:
-        """The id of the newest notification (0 when empty)."""
-        return self._recorder.max_id()
-
-    def counts(self) -> Dict[str, int]:
-        """Notification counts per kind."""
-        return self._recorder.counts()
-
-    def __iter__(self) -> Iterable[Notification]:
-        return iter(self.select())
-
 
 __all__ = [
     "KIND_EVENT",
     "KIND_RECORD",
-    "KIND_SNAPSHOT",
     "NOTIFICATION_KINDS",
     "Notification",
-    "NotificationLog",
 ]

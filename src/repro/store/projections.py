@@ -1,4 +1,4 @@
-"""Reports as incremental projections over the notification log.
+"""Reports as incremental projections over a SQLite store's log.
 
 A :class:`Projection` folds notifications into a compact, serializable
 state and remembers the newest notification id it has folded (its
@@ -27,7 +27,7 @@ import json
 from typing import Dict, List, Optional, Tuple
 
 from ..telemetry.digest import ResponseDigest
-from .notification import KIND_EVENT, KIND_RECORD, KIND_SNAPSHOT, Notification
+from .notification import KIND_EVENT, KIND_RECORD, Notification
 
 
 class Projection:
@@ -60,9 +60,6 @@ class Projection:
     def fold_event(self, event) -> None:
         """Fold one typed telemetry event (default: ignore)."""
 
-    def fold_snapshot(self, snapshot) -> None:
-        """Fold one :class:`CampaignSnapshot` (default: ignore)."""
-
     # -- folding ----------------------------------------------------------
     def fold(self, notification: Notification) -> None:
         if notification.kind == KIND_RECORD:
@@ -73,10 +70,8 @@ class Projection:
             from ..telemetry.events import event_from_dict
 
             self.fold_event(event_from_dict(notification.payload))
-        elif notification.kind == KIND_SNAPSHOT:
-            from .snapshot import CampaignSnapshot
-
-            self.fold_snapshot(CampaignSnapshot.from_dict(notification.payload))
+        # Any other kind (the snapshot rows of older stores) only
+        # advances the watermark.
         self.watermark = notification.id
 
     def load(self, store) -> "Projection":

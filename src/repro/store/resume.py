@@ -1,26 +1,39 @@
-"""Snapshot-aware campaign execution: chunked appends, checkpoints, resume.
+"""Chunked, resumable campaign execution over any store.
 
 :func:`execute_with_store` is the one orchestration path between "a list
 of campaign cells" and "records durably in a store".  It appends results
-in cell order in chunks of ``snapshot_every``, records a
-:class:`~repro.store.snapshot.CampaignSnapshot` after each chunk, keeps
-the built-in projections folded up to the log head, and — under
-``resume`` — skips every cell the store already holds a successful record
-for.  Because cells are deterministic and independent, and records are
-always appended in cell order, an interrupted-then-resumed campaign
-produces a byte-identical results file (and equal rollups/reports) to an
+in cell order in chunks of ``snapshot_every`` cells and — under
+``resume`` — skips every cell the store already holds a successful
+record for.  It talks to a store through ``extend`` and ``load`` only,
+so a JSONL results file and a SQLite store behave alike.  Because cells
+are deterministic and independent, and records are always appended in
+cell order, an interrupted-then-resumed campaign produces a
+byte-identical results file (and equal rollups/reports) to an
 uninterrupted one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from pathlib import Path
+from typing import Dict, List, Sequence
 
 from .. import DEFAULT_SNAPSHOT_EVERY  # re-exported: the cadence --resume implies
-from ..telemetry.digest import ResponseDigest
-from .campaign_store import CampaignStore, as_campaign_store
-from .snapshot import CampaignSnapshot, cell_key, cell_spec
+
+
+def cell_key(cell) -> str:
+    """The stable identity of one campaign cell within its campaign.
+
+    ``(scenario, system, sequence_index, seed, shard)`` uniquely names a
+    cell in every campaign enumeration (fleet cells vary seed × shard;
+    registry campaigns vary system × sequence × seed), and every
+    persisted record carries the same five fields — so completed work is
+    matched to pending cells without touching arrivals or RNG state.
+    """
+    return (
+        f"{cell.scenario}|{cell.system}|seq{cell.sequence_index}"
+        f"|seed{cell.seed}|shard{cell.shard}"
+    )
 
 
 @dataclass
@@ -34,21 +47,6 @@ class ExecutionOutcome:
     resumed: int
     #: Cells actually executed by the backend this call.
     executed: int
-    #: Snapshots recorded this call.
-    snapshots: int
-
-
-def _merged_digest(records) -> Dict[str, object]:
-    """One digest over the completed records (snapshot payload)."""
-    merged = ResponseDigest()
-    for record in records:
-        if record.response_times_ms:
-            merged.extend(record.response_times_ms)
-        else:
-            digest = record.digest()
-            if digest is not None:
-                merged.merge(digest)
-    return merged.to_dict()
 
 
 def execute_with_store(
@@ -57,41 +55,31 @@ def execute_with_store(
     store=None,
     snapshot_every: int = 0,
     resume: bool = False,
-    refresh_projections: bool = True,
 ) -> ExecutionOutcome:
     """Run ``cells`` through ``backend`` with durable, resumable persistence.
 
-    ``store`` may be None (no persistence), a plain
-    :class:`~repro.campaign.results.ResultsStore` (legacy single-append
-    path, byte-identical to the pre-store behavior), or anything
-    :func:`~repro.store.campaign_store.as_campaign_store` accepts.
-    Snapshots and resume require a store; asking for them without one is
-    an error rather than a silent no-op.
+    ``store`` may be None (no persistence), a store object (anything with
+    ``extend`` and ``load``) or a path, opened by
+    :func:`~repro.store.campaign_store.open_store`.  ``snapshot_every``
+    appends records every N cells instead of once at the end; ``resume``
+    first reads the store's records and skips every cell with a
+    successful one (failure records are re-executed).  Both need a store;
+    asking for them without one is an error rather than a silent no-op.
     """
     if snapshot_every < 0:
         raise ValueError(f"snapshot_every must be >= 0, got {snapshot_every}")
     cells = list(cells)
-    wants_features = resume or snapshot_every > 0
-    if wants_features and store is None:
+    if (resume or snapshot_every > 0) and store is None:
         raise ValueError(
-            "snapshots/resume need a persistent store (pass --out)"
+            "--resume/--snapshot-every need a persistent store (pass --out)"
         )
+    if isinstance(store, (str, Path)):
+        from .campaign_store import open_store
 
-    campaign_store: Optional[CampaignStore] = None
-    if store is not None and (
-        wants_features or isinstance(store, CampaignStore)
-    ):
-        campaign_store = as_campaign_store(store)
-
-    if campaign_store is None:
-        # Legacy path: one backend call, one append — bit-identical to the
-        # pre-store runner for callers that never asked for durability.
-        records = backend.run(cells)
-        if store is not None:
-            store.extend(records)
-        return ExecutionOutcome(
-            records=records, resumed=0, executed=len(cells), snapshots=0
-        )
+        with open_store(store) as opened:
+            return execute_with_store(
+                backend, cells, opened, snapshot_every, resume
+            )
 
     keys = [cell_key(cell) for cell in cells]
     completed: Dict[str, object] = {}
@@ -102,68 +90,39 @@ def execute_with_store(
                 "(same scenario/system/sequence/seed/shard); matching "
                 "persisted records to cells would be ambiguous"
             )
-        completed, _ = campaign_store.completed_cells()
+        completed = {
+            cell_key(record): record
+            for record in store.load()
+            if not record.failed
+        }
 
     results: Dict[int, object] = {}
     pending: List[int] = []
     for index, key in enumerate(keys):
-        if resume and key in completed:
+        if key in completed:
             results[index] = completed[key]
         else:
             pending.append(index)
-    resumed = len(cells) - len(pending)
 
-    chunk_size = snapshot_every if snapshot_every > 0 else len(pending)
-    snapshots = 0
+    chunk_size = snapshot_every or len(pending)
     for at in range(0, len(pending), max(chunk_size, 1)):
         chunk = pending[at : at + chunk_size]
         chunk_records = backend.run([cells[i] for i in chunk])
         for index, record in zip(chunk, chunk_records):
             results[index] = record
-        # Records land before the snapshot that covers them: a crash
-        # between the two appends only loses the checkpoint, never work —
-        # resume's tail scan re-derives the uncovered records.
-        campaign_store.append_records(chunk_records)
-        if snapshot_every > 0:
-            done = [i for i in range(len(cells)) if i in results]
-            done_records = [
-                results[i] for i in done if not results[i].failed
-            ]
-            campaign_store.record_snapshot(
-                CampaignSnapshot(
-                    completed=tuple(
-                        keys[i] for i in done if not results[i].failed
-                    ),
-                    digest=_merged_digest(done_records),
-                    cells=tuple(
-                        cell_spec(cells[i])
-                        for i in done
-                        if not results[i].failed
-                    ),
-                    covered_id=campaign_store.max_id(),
-                )
-            )
-            snapshots += 1
-        if refresh_projections:
-            from .projections import update_projections
-
-            update_projections(campaign_store)
-
-    if not pending and refresh_projections:
-        from .projections import update_projections
-
-        update_projections(campaign_store)
+        if store is not None:
+            store.extend(chunk_records)
 
     return ExecutionOutcome(
         records=[results[i] for i in range(len(cells))],
-        resumed=resumed,
+        resumed=len(cells) - len(pending),
         executed=len(pending),
-        snapshots=snapshots,
     )
 
 
 __all__ = [
     "DEFAULT_SNAPSHOT_EVERY",
     "ExecutionOutcome",
+    "cell_key",
     "execute_with_store",
 ]

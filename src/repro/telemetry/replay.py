@@ -138,7 +138,7 @@ def replay_notifications(store) -> StreamingAggregationSink:
     """Re-run the streaming aggregation over a store's *event* notifications.
 
     The notification-log counterpart of :func:`replay_aggregation`:
-    events that flowed through a durable event store (via
+    events that flowed through a SQLite store (via
     :class:`~repro.telemetry.sinks.RecorderEventSink` or
     ``repro store ingest``) fold back into a fresh aggregation sink in
     global notification order — bit-identical to the live aggregation,

@@ -164,12 +164,12 @@ class StreamingAggregationSink(TelemetrySink):
 
 
 class RecorderEventSink(TelemetrySink):
-    """Flow typed events into a durable event store's notification log.
+    """Flow typed events into a SQLite store's notification log.
 
     Events buffer in memory and append to the store as one transactional
     batch on :meth:`flush` / :meth:`close` (``batch_size`` bounds the
     buffer for long-running streams).  Once appended, the events are
-    globally ordered with the campaign's records and snapshots, so
+    globally ordered with the campaign's records, so
     store-level projections (e.g.
     :class:`~repro.store.projections.TelemetryCounterProjection`) fold
     them incrementally without re-reading per-cell JSONL files.

@@ -69,8 +69,8 @@ class ReferenceEngine(Engine):
 
 #: Named kernels the campaign/verify layers can run a scenario on.
 #: ``default`` is what production entry points use; campaign cells and
-#: store snapshot fingerprints persist that name, so it stays registered
-#: even though it names the same engine as ``optimized``.
+#: event-log headers persist that name, so it stays registered even
+#: though it names the same engine as ``optimized``.
 KERNELS: Dict[str, Callable[[], Engine]] = {
     "default": Engine,
     "optimized": Engine,

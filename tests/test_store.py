@@ -1,22 +1,29 @@
-"""The durable event store: recorders, snapshots, resume, projections.
+"""The stores: JSONL results files, the SQLite event store, resume,
+projections.
 
 The store contract under test, end to end:
 
-* both recorders (JSONL sidecar and SQLite) persist one globally ordered
-  notification log of records, telemetry events and snapshots, and read
-  it back identically after a reopen;
+* a results path picks its format: a JSONL path is a plain
+  ``ResultsStore`` holding records only (no sidecar files, ever); a
+  SQLite path is the one notification log of records and telemetry
+  events, read back identically after a reopen;
 * ``ResultsStore.extend`` on a brand-new path writes the same header line
   ``write`` does, so every results file is self-describing (pinned by a
   byte-level round trip);
 * an interrupted campaign resumed with ``resume=True`` skips the cells
   the store already holds, re-executes the rest, and ends bit-identical
-  to an uninterrupted run — serial and process backends, both recorders;
+  to an uninterrupted run — serial and process backends, both formats;
 * reports fold as *incremental* projections (only past-watermark
   notifications are consumed, counted and asserted) and match both a
-  full rebuild and the batch reference implementations exactly.
+  full rebuild and the batch reference implementations exactly;
+* every read path (``load_records``, ``replay``, ``store inspect``,
+  ``store verify``, ``verify --store``) leaves its directory unchanged,
+  and a SQLite store holding the ``snapshot`` rows older versions wrote
+  still loads, resumes and verifies.
 """
 
 import json
+import sqlite3
 
 import pytest
 
@@ -26,6 +33,7 @@ from repro.campaign import (
     ResultsStore,
     Scenario,
     SerialBackend,
+    load_records,
 )
 from repro.campaign.results import results_header
 from repro.experiments import Fig5Result, fig6_from_records
@@ -33,20 +41,15 @@ from repro.experiments.fig5 import reductions_from_records
 from repro.fleet import Fleet, get_fleet_scenario
 from repro.metrics.report import summarize_records
 from repro.store import (
-    CampaignSnapshot,
     CampaignStore,
     DEFAULT_SNAPSHOT_EVERY,
     FigureProjection,
     FleetRollupProjection,
-    JsonlRecorder,
     KIND_EVENT,
     KIND_RECORD,
-    KIND_SNAPSHOT,
-    Notification,
+    NOTIFICATION_KINDS,
     RecordSummaryProjection,
-    SqliteRecorder,
     TelemetryCounterProjection,
-    cell_key,
     execute_with_store,
     is_sqlite_path,
     open_store,
@@ -58,6 +61,8 @@ from repro.telemetry.sinks import RecorderEventSink
 from repro.workloads.generator import Condition, WorkloadSpec
 
 BACKENDS = ("jsonl", "sqlite")
+#: The formats that hold a notification log (JSONL holds records only).
+LOG_BACKENDS = ("sqlite",)
 
 
 def _suffix(backend: str) -> str:
@@ -111,30 +116,71 @@ class InterruptingBackend:
         return self.inner.run(cells)
 
 
+class RecordingBackend(SerialBackend):
+    """A serial backend that remembers the size of every ``run`` call."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = []
+
+    def run(self, cells):
+        self.calls.append(len(cells))
+        return super().run(cells)
+
+
+def _listing(directory):
+    """Every file under ``directory`` with its bytes (sidecars included)."""
+    return {
+        str(path.relative_to(directory)): path.read_bytes()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file()
+    }
+
+
+def _legacy_store(path, records):
+    """A SQLite store as older versions wrote it with ``--snapshot-every 1``:
+    each record followed by a ``snapshot`` row, projections folded over
+    both."""
+    with open_store(path):
+        pass  # creates the schema
+    conn = sqlite3.connect(str(path), isolation_level=None)
+    for index, record in enumerate(records, start=1):
+        snapshot = {"schema": 1, "completed": [], "digest": {},
+                    "cells": [], "covered_id": 2 * index - 1}
+        conn.executemany(
+            "INSERT INTO notifications (kind, payload) VALUES (?, ?)",
+            [("record", json.dumps(record.to_dict(), sort_keys=True)),
+             ("snapshot", json.dumps(snapshot, sort_keys=True))],
+        )
+    conn.close()
+    with open_store(path) as store:
+        update_projections(store)
+    return path
+
+
 class TestRecorders:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    """The two store formats a results path can name."""
+
+    @pytest.mark.parametrize("backend", LOG_BACKENDS)
     def test_mixed_kind_roundtrip_survives_reopen(
-        self, tmp_path, backend, campaign_records
+        self, tmp_path, backend, campaign_records, event_log
     ):
         _, records = campaign_records
+        events = load_events(event_log)[:1]
         path = tmp_path / f"log.{_suffix(backend)}"
-        with open_store(path, backend=backend) as store:
+        with open_store(path) as store:
             ids = store.append_records(records[:2])
             assert ids == [1, 2]
-            store.recorder.append([(KIND_SNAPSHOT, {"schema": 1,
-                                                    "completed": [],
-                                                    "digest": {},
-                                                    "cells": [],
-                                                    "covered_id": 2})])
+            assert store.append_events(events) == [3]
             ids = store.append_records(records[2:])
             assert ids == [4, 5]
             before = [(n.id, n.kind, n.payload) for n in store.select()]
-        with open_store(path, backend=backend) as store:
+        with open_store(path) as store:
             after = [(n.id, n.kind, n.payload) for n in store.select()]
             assert after == before
             assert [n.id for n in store.select()] == [1, 2, 3, 4, 5]
             assert store.max_id() == 5
-            assert store.counts() == {"record": 4, "snapshot": 1}
+            assert store.counts() == {"event": 1, "record": 4}
             # select honors (start, limit) over the global order
             window = store.select(start=2, limit=2)
             assert [n.id for n in window] == [2, 3]
@@ -142,16 +188,15 @@ class TestRecorders:
             assert [r.to_dict() for r in loaded] == \
                 [r.to_dict() for r in records]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", LOG_BACKENDS)
     def test_unknown_kind_rejected(self, tmp_path, backend):
-        with open_store(tmp_path / f"log.{_suffix(backend)}",
-                        backend=backend) as store:
+        with open_store(tmp_path / f"log.{_suffix(backend)}") as store:
             with pytest.raises(ValueError, match="unknown notification kind"):
-                store.recorder.append([("bogus", {})])
-
-    def test_notification_validates_kind(self):
-        with pytest.raises(ValueError):
-            Notification(id=1, kind="bogus", payload={})
+                store.append([("bogus", {})])
+            # nothing writes the snapshot rows older stores hold
+            with pytest.raises(ValueError, match="unknown notification kind"):
+                store.append([("snapshot", {})])
+            assert store.max_id() == 0
 
     def test_sqlite_sniffing(self, tmp_path):
         assert is_sqlite_path("results/x.sqlite")
@@ -161,39 +206,22 @@ class TestRecorders:
         magic = tmp_path / "mystery"
         magic.write_bytes(b"SQLite format 3\x00" + b"\x00" * 16)
         assert is_sqlite_path(magic)
-        with pytest.raises(ValueError, match="unknown store backend"):
-            open_store(tmp_path / "x.jsonl", backend="parquet")
 
-    def test_jsonl_recorder_wraps_legacy_results_file(
+    def test_jsonl_path_opens_a_plain_results_store(
         self, tmp_path, campaign_records
     ):
         _, records = campaign_records
         legacy = ResultsStore(tmp_path / "legacy.jsonl")
         legacy.write(records)
+        before = _listing(tmp_path)
         with open_store(legacy.path) as store:
-            assert isinstance(store.recorder, JsonlRecorder)
-            assert store.counts() == {"record": len(records)}
+            assert type(store) is ResultsStore
             assert [r.to_dict() for r in store.load()] == \
                 [r.to_dict() for r in records]
-        # the wrap is non-destructive: the plain loader still works and
-        # the results file itself carries no sidecar noise
-        assert [r.to_dict() for r in ResultsStore(legacy.path).load()] == \
-            [r.to_dict() for r in records]
-
-    def test_jsonl_sidecar_heals_out_of_band_appends(
-        self, tmp_path, campaign_records
-    ):
-        _, records = campaign_records
-        path = tmp_path / "healed.jsonl"
-        with open_store(path) as store:
-            store.append_records(records[:2])
-        # a legacy writer appends directly to the results file,
-        # bypassing the sidecar
-        ResultsStore(path).extend(records[2:])
-        with open_store(path) as store:
-            assert store.counts()["record"] == len(records)
-            assert [r.to_dict() for r in store.load()] == \
-                [r.to_dict() for r in records]
+        # opening and reading a results file writes nothing beside it
+        assert _listing(tmp_path) == before
+        with open_store(tmp_path / "sub" / "x.db") as store:
+            assert isinstance(store, CampaignStore)
 
 
 class TestResultsFileHeader:
@@ -225,38 +253,28 @@ class TestResultsFileHeader:
 
 
 class TestSnapshotsAndResume:
-    def test_snapshot_roundtrip(self):
-        snapshot = CampaignSnapshot(
-            completed=("a|b|seq0|seed1|shard-1",),
-            digest={"count": 3},
-            cells=({"scenario": "a"},),
-            covered_id=7,
-        )
-        assert CampaignSnapshot.from_dict(snapshot.to_dict()) == snapshot
-
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_snapshot_cadence_and_tail_bound(
+    def test_snapshot_every_sets_the_append_cadence(
         self, tmp_path, backend, campaign_records
     ):
-        cells, _ = campaign_records
-        path = tmp_path / f"snap.{_suffix(backend)}"
-        with open_store(path, backend=backend) as store:
+        cells, records = campaign_records
+        path = tmp_path / f"cadence.{_suffix(backend)}"
+        backend_calls = RecordingBackend()
+        with open_store(path) as store:
             outcome = execute_with_store(
-                SerialBackend(), cells, store=store, snapshot_every=2
+                backend_calls, cells, store=store, snapshot_every=3
             )
-            assert outcome.snapshots == 2
-            counts = store.counts()
-            assert counts["record"] == len(cells)
-            assert counts["snapshot"] == 2
-            snapshot = store.latest_snapshot()
-            assert len(snapshot.completed) == len(cells)
-            assert set(snapshot.completed) == {cell_key(c) for c in cells}
-            # the newest snapshot is the log head: resume's tail scan
-            # reads only the snapshot notification itself (its id is
-            # covered_id + 1), never the snapshotted record prefix
-            completed, tail = store.completed_cells()
-            assert tail == 1
-            assert len(completed) == len(cells)
+        assert backend_calls.calls == [3, 1]
+        assert (outcome.resumed, outcome.executed) == (0, len(cells))
+        assert [r.to_dict() for r in load_records(path)] == \
+            [r.to_dict() for r in records]
+        # the cadence changes when records land, never what lands
+        once = tmp_path / f"once.{_suffix(backend)}"
+        execute_with_store(SerialBackend(), cells, store=once)
+        if backend == "jsonl":
+            assert path.read_bytes() == once.read_bytes()
+        assert [r.to_dict() for r in load_records(once)] == \
+            [r.to_dict() for r in records]
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("jobs", (1, 2))
@@ -265,25 +283,24 @@ class TestSnapshotsAndResume:
     ):
         cells, clean_records = campaign_records
         clean_path = tmp_path / f"clean.{_suffix(backend)}"
-        with open_store(clean_path, backend=backend) as store:
+        with open_store(clean_path) as store:
             execute_with_store(
                 SerialBackend(), cells, store=store, snapshot_every=2
             )
 
         resumed_path = tmp_path / f"resumed.{_suffix(backend)}"
-        store = open_store(resumed_path, backend=backend)
         crash = InterruptingBackend(SerialBackend(), fail_after=2)
-        with pytest.raises(RuntimeError, match="simulated crash"):
+        with open_store(resumed_path) as store, \
+                pytest.raises(RuntimeError, match="simulated crash"):
             execute_with_store(
                 crash, cells, store=store, snapshot_every=2
             )
-        store.close()
-        assert open_store(resumed_path, backend=backend).counts()["record"] == 2
+        assert len(load_records(resumed_path)) == 2
 
         resume_backend = (
             SerialBackend() if jobs == 1 else ProcessBackend(jobs=jobs)
         )
-        with open_store(resumed_path, backend=backend) as store:
+        with open_store(resumed_path) as store:
             outcome = execute_with_store(
                 resume_backend, cells, store=store,
                 snapshot_every=2, resume=True,
@@ -294,17 +311,17 @@ class TestSnapshotsAndResume:
             [r.to_dict() for r in clean_records]
         if backend == "jsonl":
             # the results file (records + header) is byte-identical to
-            # the uninterrupted run's
+            # the uninterrupted run's, and no sidecar appeared
             assert resumed_path.read_bytes() == clean_path.read_bytes()
+            assert sorted(p.name for p in tmp_path.iterdir()) == \
+                sorted([clean_path.name, resumed_path.name])
         else:
-            with open_store(resumed_path, backend=backend) as a, \
-                    open_store(clean_path, backend=backend) as b:
-                assert [r.to_dict() for r in a.load()] == \
-                    [r.to_dict() for r in b.load()]
-        # projections converge to the same state on both stores
-        for path in (clean_path, resumed_path):
-            with open_store(path, backend=backend) as store:
-                assert verify_store_projections(store) == []
+            assert [r.to_dict() for r in load_records(resumed_path)] == \
+                [r.to_dict() for r in load_records(clean_path)]
+            # projections converge to the same state on both stores
+            for path in (clean_path, resumed_path):
+                with open_store(path) as store:
+                    assert verify_store_projections(store) == []
 
     def test_resume_skips_everything_on_a_complete_store(
         self, tmp_path, campaign_records
@@ -353,30 +370,67 @@ class TestSnapshotsAndResume:
             execute_with_store(SerialBackend(), cells, snapshot_every=-1)
 
     def test_plain_path_stays_legacy_jsonl(self, tmp_path, campaign_records):
-        # No durability flags -> a path resolves to the plain ResultsStore
-        # (no sidecar files appear next to default campaign output).
+        # A JSONL path is a plain ResultsStore whatever the flags: no
+        # sidecar files appear next to campaign output, resumed or not.
         cells, _ = campaign_records
         path = tmp_path / "legacy.jsonl"
         runner = CampaignRunner(store=str(path))
-        assert isinstance(runner.store, ResultsStore)
+        assert type(runner.store) is ResultsStore
         runner.run_cells(cells[:1])
-        assert not (tmp_path / "legacy.jsonl.nlog").exists()
-        # Asking for resume upgrades the same path to the event store.
-        upgraded = CampaignRunner(store=str(path), resume=True)
-        assert isinstance(upgraded.store, CampaignStore)
+        resumed = CampaignRunner(store=str(path), resume=True)
+        assert type(resumed.store) is ResultsStore
+        resumed.run_cells(cells)
+        assert resumed.last_outcome.resumed == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["legacy.jsonl"]
+        assert isinstance(
+            CampaignRunner(store=str(tmp_path / "s.sqlite")).store,
+            CampaignStore,
+        )
 
     def test_default_snapshot_cadence_is_sane(self):
         assert DEFAULT_SNAPSHOT_EVERY >= 1
 
+    def test_legacy_snapshot_rows_load_resume_and_verify(
+        self, tmp_path, capsys, campaign_records
+    ):
+        from repro.cli import main
+
+        cells, records = campaign_records
+        path = _legacy_store(tmp_path / "legacy.sqlite", records)
+        fresh = tmp_path / "fresh.sqlite"
+        with open_store(fresh) as store:
+            store.extend(records)
+        with open_store(path) as store:
+            assert store.counts() == {
+                "record": len(records), "snapshot": len(records)
+            }
+        assert [r.to_dict() for r in load_records(path)] == \
+            [r.to_dict() for r in records]
+        assert main(["store", "verify", str(path)]) == 0
+        capsys.readouterr()
+        replays = []
+        for store_path in (path, fresh):
+            assert main(["replay", str(store_path), "--json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            payload.pop("path")
+            replays.append(payload)
+        assert replays[0] == replays[1]
+        with open_store(path) as store:
+            outcome = execute_with_store(
+                SerialBackend(), cells, store=store, resume=True
+            )
+        assert outcome.resumed == len(cells)
+        assert main(["store", "verify", str(path)]) == 0
+
 
 class TestProjections:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", LOG_BACKENDS)
     def test_incremental_fold_consumes_only_the_tail(
         self, tmp_path, backend, campaign_records
     ):
         _, records = campaign_records
         path = tmp_path / f"proj.{_suffix(backend)}"
-        with open_store(path, backend=backend) as store:
+        with open_store(path) as store:
             store.append_records(records[:3])
             first = RecordSummaryProjection().load(store)
             assert first.apply(store) == 3
@@ -475,7 +529,7 @@ class TestProjections:
         self, tmp_path, campaign_records
     ):
         _, records = campaign_records
-        with open_store(tmp_path / "u.jsonl") as store:
+        with open_store(tmp_path / "u.sqlite") as store:
             store.append_records(records)
             folded = update_projections(store)
             assert set(folded) == {
@@ -486,15 +540,60 @@ class TestProjections:
             assert all(
                 n == 0 for n in update_projections(store).values()
             )
+            # extend folds as it appends: a catch-up pass finds nothing
+            store.extend(records)
+            assert all(
+                n == 0 for n in update_projections(store).values()
+            )
+
+
+READERS = {
+    "load_records": load_records,
+    "replay": lambda path: _cli(["replay", str(path)]),
+    "store inspect": lambda path: _cli(["store", "inspect", str(path)]),
+    "store verify": lambda path: _cli(["store", "verify", str(path)]),
+    "verify --store": lambda path: _cli(["verify", "--store", str(path)]),
+}
+
+
+def _cli(argv):
+    from repro.cli import main
+
+    return main(argv)
 
 
 class TestStoreCli:
     def _build_store(self, tmp_path, records, backend="sqlite"):
         path = tmp_path / f"cli.{_suffix(backend)}"
-        with open_store(path, backend=backend) as store:
-            store.append_records(records)
-            update_projections(store)
+        with open_store(path) as store:
+            store.extend(records)
         return path
+
+    @pytest.mark.parametrize("present", (True, False),
+                             ids=("present", "missing"))
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_read_paths_leave_the_directory_unchanged(
+        self, tmp_path, backend, reader, present, campaign_records
+    ):
+        _, records = campaign_records
+        if present:
+            path = self._build_store(tmp_path, records, backend)
+        else:
+            path = tmp_path / f"missing.{_suffix(backend)}"
+        before = _listing(tmp_path)
+        if present:
+            result = READERS[reader](path)
+            if reader == "load_records":
+                assert len(result) == len(records)
+            else:
+                assert result == 0
+        elif reader == "load_records":
+            with pytest.raises(FileNotFoundError):
+                READERS[reader](path)
+        else:
+            assert READERS[reader](path) == 2
+        assert _listing(tmp_path) == before
 
     def test_inspect_json(self, tmp_path, capsys, campaign_records):
         from repro.cli import main
@@ -503,8 +602,14 @@ class TestStoreCli:
         path = self._build_store(tmp_path, records)
         assert main(["store", "inspect", str(path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
+        assert payload["format"] == "sqlite"
         assert payload["counts"] == {"record": len(records)}
         assert payload["projections"]["summary"] == len(records)
+        jsonl = self._build_store(tmp_path, records, backend="jsonl")
+        assert main(["store", "inspect", str(jsonl), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["format"] == "jsonl"
+        assert payload["records"] == len(records)
 
     def test_verify_clean_and_corrupted(self, tmp_path, capsys,
                                         campaign_records):
@@ -523,19 +628,48 @@ class TestStoreCli:
         assert main(["store", "verify", str(path)]) == 1
         assert "summary" in capsys.readouterr().err
 
+    def test_verify_says_what_it_checked(self, tmp_path, capsys,
+                                         campaign_records):
+        from repro.cli import main
+
+        _, records = campaign_records
+        jsonl = self._build_store(tmp_path, records, backend="jsonl")
+        assert main(["store", "verify", str(jsonl)]) == 0
+        out = capsys.readouterr().out
+        assert f"{len(records)} record(s) parsed" in out
+        assert "projections equal" not in out
+        sqlite = self._build_store(tmp_path, records)
+        assert main(["store", "verify", str(sqlite)]) == 0
+        out = capsys.readouterr().out
+        assert f"log dense ({len(records)} notification(s))" in out
+        assert "projections equal a full rebuild" in out
+        # a malformed record line makes the file unusable (exit 2)
+        with jsonl.open("a") as handle:
+            handle.write('{"not": "a record"}\n')
+        assert main(["store", "verify", str(jsonl)]) == 2
+
     def test_export_converts_between_backends(self, tmp_path, capsys,
-                                              campaign_records):
+                                              campaign_records, event_log):
         from repro.cli import main
 
         _, records = campaign_records
         source = self._build_store(tmp_path, records, backend="jsonl")
         dest = tmp_path / "converted.sqlite"
         assert main(["store", "export", str(source), str(dest)]) == 0
+        events = load_events(event_log)
         with open_store(dest) as store:
-            assert isinstance(store.recorder, SqliteRecorder)
+            assert isinstance(store, CampaignStore)
             assert [r.to_dict() for r in store.load()] == \
                 [r.to_dict() for r in records]
             assert verify_store_projections(store) == []
+            store.append_events(events)
+        # back to JSONL: the records, byte-identical; the events stay behind
+        back = tmp_path / "back.jsonl"
+        capsys.readouterr()
+        assert main(["store", "export", str(dest), str(back)]) == 0
+        out = capsys.readouterr().out
+        assert f"{len(events)} event(s) not carried" in out
+        assert back.read_bytes() == source.read_bytes()
 
     def test_ingest_events(self, tmp_path, capsys, event_log):
         from repro.cli import main
@@ -546,6 +680,14 @@ class TestStoreCli:
         assert main(["store", "ingest", str(path), str(event_log)]) == 0
         with open_store(path) as store:
             assert store.counts()["event"] == len(load_events(event_log))
+        # a JSONL results file holds records only
+        jsonl = tmp_path / "r.jsonl"
+        capsys.readouterr()
+        assert main(["store", "ingest", str(jsonl), str(event_log)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "SQLite" in err[0]
+        assert not jsonl.exists()
 
     def test_replay_reads_sqlite_stores(self, tmp_path, capsys,
                                         campaign_records):
@@ -565,10 +707,11 @@ class TestStoreCli:
 
         assert main(["replay", str(tmp_path / "absent.sqlite")]) == 2
         assert main(["store", "inspect", str(tmp_path / "nope.sqlite")]) == 2
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEventNotificationKinds:
     def test_kind_constants_are_the_wire_values(self):
         assert KIND_RECORD == "record"
         assert KIND_EVENT == "event"
-        assert KIND_SNAPSHOT == "snapshot"
+        assert NOTIFICATION_KINDS == (KIND_RECORD, KIND_EVENT)

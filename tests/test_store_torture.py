@@ -1,4 +1,4 @@
-"""Crash torture for the SQLite recorder: SIGKILL mid-batch-append.
+"""Crash torture for the SQLite store: SIGKILL mid-batch-append.
 
 A writer subprocess appends fixed-size batches to a SQLite store while
 the parent SIGKILLs it at randomized (seeded) points.  After every kill
@@ -35,10 +35,10 @@ WRITER = textwrap.dedent(
     from repro.store import open_store
 
     path, total_batches, batch = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
-    store = open_store(path, backend="sqlite")
+    store = open_store(path)
     done = store.max_id() // batch
     for index in range(done, total_batches):
-        store.recorder.append(
+        store.append(
             [("record", {"batch": index, "item": item})
              for item in range(batch)]
         )
@@ -59,7 +59,7 @@ def _expected_payloads(batches):
 
 def _assert_clean_prefix(path: Path):
     """Dense ids, whole batches, payloads matching the expected prefix."""
-    with open_store(path, backend="sqlite") as store:
+    with open_store(path) as store:
         notifications = store.select()
         ids = [n.id for n in notifications]
         assert ids == list(range(1, len(ids) + 1))
@@ -120,7 +120,7 @@ def test_sigkill_mid_append_leaves_a_clean_resumable_log(tmp_path, seed):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    with open_store(path, backend="sqlite") as tortured, \
-            open_store(clean, backend="sqlite") as reference:
+    with open_store(path) as tortured, \
+            open_store(clean) as reference:
         assert [(n.id, n.kind, n.payload) for n in tortured.select()] == \
             [(n.id, n.kind, n.payload) for n in reference.select()]

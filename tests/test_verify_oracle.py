@@ -36,7 +36,7 @@ from repro.verify.invariants import (
 )
 from repro.workloads import Condition, WorkloadGenerator
 
-from tests.test_kernel_fastlane import TestGoldenKernelStress
+from tests import test_kernel_fastlane
 
 DATA = Path(__file__).parent / "data"
 
@@ -49,7 +49,7 @@ def _fresh_ids():
 # ----------------------------------------------------------------------
 # The reference kernel is the seed semantics
 # ----------------------------------------------------------------------
-class TestReferenceKernelGolden(TestGoldenKernelStress):
+class TestReferenceKernelGolden(test_kernel_fastlane.TestGoldenKernelStress):
     """The pure-kernel stress golden, replayed on the reference kernel.
 
     Inherits the golden-log and determinism tests with the engine swapped:
