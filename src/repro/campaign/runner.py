@@ -17,9 +17,10 @@ class CampaignRunner:
     ``jobs=1`` selects the deterministic serial reference backend;
     ``jobs=N`` fans cells out over N worker processes.  When a ``store``
     (or path) is given, every produced record is appended there so figures
-    can later be replayed without re-simulating; the path picks the
-    format (:func:`~repro.store.campaign_store.open_store`: a plain JSONL
-    results file, or a SQLite store for ``.sqlite``/``.db``).
+    can later be replayed without re-simulating; a path picks the format
+    (:func:`~repro.store.campaign_store.open_store`: a plain JSONL
+    results file, or a SQLite store for ``.sqlite``/``.db``) and is
+    opened for each run, then closed.
     ``snapshot_every`` appends records every N completed cells instead of
     once at the end, and ``resume`` skips cells the store already holds a
     successful record for.
@@ -47,10 +48,8 @@ class CampaignRunner:
         #: Outcome of the most recent :meth:`run_cells` (resumed/executed
         #: counts) — the CLI surfaces it after a ``--resume`` run.
         self.last_outcome = None
-        if isinstance(store, (str, Path)):
-            from ..store import open_store
-
-            store = open_store(store)
+        #: A store object, or a path that each :meth:`run_cells` opens
+        #: (and closes) through :func:`~repro.store.campaign_store.open_store`.
         self.store = store
         self.base_params = base_params
         #: Persist raw per-request samples on records (``--raw-samples``);

@@ -438,9 +438,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     from .campaign.runner import CampaignRunner
     from .metrics.report import summarize_records
 
+    out = _default_out(scenario.name, args)
     runner = CampaignRunner(
         jobs=args.jobs,
-        store=_default_out(scenario.name, args),
+        store=out,
         raw_samples=args.raw_samples,
         events_dir=args.events_dir,
         timeout_s=getattr(args, "cell_timeout", None),
@@ -455,7 +456,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             f"\nresume: {outcome.resumed} cell(s) already persisted, "
             f"{outcome.executed} executed this run"
         )
-    print(f"\n{len(records)} records appended to {runner.store.path}")
+    print(f"\n{len(records)} records appended to {out}")
     if args.events_dir:
         print(f"telemetry event logs written under {args.events_dir}")
     return 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import sys
 from pathlib import Path
-from typing import List
+from typing import List, Tuple
 
 from .campaign_store import CampaignStore, read_store
 from .projections import default_projections, verify_store_projections
@@ -31,11 +31,19 @@ def check_store(store_or_path) -> List[str]:
     """
     if isinstance(store_or_path, (str, Path)):
         with read_store(store_or_path) as store:
-            return check_store(store)
-    store = store_or_path
+            return _audit(store)[0]
+    return _audit(store_or_path)[0]
+
+
+def _audit(store) -> Tuple[List[str], str]:
+    """The findings of :func:`check_store`, plus what was checked."""
     if not isinstance(store, CampaignStore):
-        store.load()
-        return []
+        checked = f"{len(store.load())} record(s) parsed"
+        if store.skipped_lines:
+            checked += (
+                f", {store.skipped_lines} truncated trailing line(s) skipped"
+            )
+        return [], checked + " (JSONL results file: no log or projections)"
     findings: List[str] = []
     expected = 1
     for notification in store.select():
@@ -47,29 +55,18 @@ def check_store(store_or_path) -> List[str]:
             expected = notification.id
         expected += 1
     findings.extend(verify_store_projections(store))
-    return findings
+    checked = (
+        f"notification log dense ({store.max_id()} notification(s)), "
+        f"all {len(default_projections())} projections equal a full rebuild"
+    )
+    return findings, checked
 
 
 def run_store_audit(path: str) -> int:
     """Audit the store at ``path`` and report: exit 0 clean, 1 findings, 2 unusable."""
     try:
         with read_store(path) as store:
-            if isinstance(store, CampaignStore):
-                findings = check_store(store)
-                checked = (
-                    f"notification log dense ({store.max_id()} "
-                    f"notification(s)), all {len(default_projections())} "
-                    "projections equal a full rebuild"
-                )
-            else:
-                findings = []
-                checked = f"{len(store.load())} record(s) parsed"
-                if store.skipped_lines:
-                    checked += (
-                        f", {store.skipped_lines} truncated trailing "
-                        "line(s) skipped"
-                    )
-                checked += " (JSONL results file: no log or projections)"
+            findings, checked = _audit(store)
     except FileNotFoundError:
         print(f"error: store {path} does not exist", file=sys.stderr)
         return 2

@@ -62,8 +62,9 @@ def execute_with_store(
     ``extend`` and ``load``) or a path, opened by
     :func:`~repro.store.campaign_store.open_store`.  ``snapshot_every``
     appends records every N cells instead of once at the end; ``resume``
-    first reads the store's records and skips every cell with a
-    successful one (failure records are re-executed).  Both need a store;
+    first reads the store's records (a JSONL file not written yet holds
+    none) and skips every cell with a successful one (failure records are
+    re-executed).  Both need a store;
     asking for them without one is an error rather than a silent no-op.
     """
     if snapshot_every < 0:
@@ -90,9 +91,15 @@ def execute_with_store(
                 "(same scenario/system/sequence/seed/shard); matching "
                 "persisted records to cells would be ambiguous"
             )
+        try:
+            persisted = store.load()
+        except FileNotFoundError:
+            # A first run, or a crash before the first append: a JSONL
+            # results file that does not exist yet holds no records.
+            persisted = []
         completed = {
             cell_key(record): record
-            for record in store.load()
+            for record in persisted
             if not record.failed
         }
 

@@ -455,6 +455,17 @@ class TestFleetCLI:
         assert main(["campaign", "replay", str(store)]) == 0
         assert "fleet-smoke" in capsys.readouterr().out
 
+    def test_fleet_run_resume_on_a_fresh_path(self, capsys, tmp_path):
+        # --resume before any record exists runs every shard and writes
+        # the same file as a run without it.
+        plain, fresh = tmp_path / "plain.jsonl", tmp_path / "fresh.jsonl"
+        assert main(["fleet", "run", "fleet-smoke", "--out", str(plain)]) == 0
+        assert main([
+            "fleet", "run", "fleet-smoke", "--out", str(fresh), "--resume",
+        ]) == 0
+        assert "already persisted" not in capsys.readouterr().out
+        assert fresh.read_bytes() == plain.read_bytes()
+
     def test_fleet_run_scaling_flags(self, capsys, tmp_path):
         store = tmp_path / "scaled.jsonl"
         code = main([

@@ -374,18 +374,35 @@ class TestSnapshotsAndResume:
         # sidecar files appear next to campaign output, resumed or not.
         cells, _ = campaign_records
         path = tmp_path / "legacy.jsonl"
-        runner = CampaignRunner(store=str(path))
-        assert type(runner.store) is ResultsStore
-        runner.run_cells(cells[:1])
+        assert type(open_store(path)) is ResultsStore
+        CampaignRunner(store=str(path)).run_cells(cells[:1])
         resumed = CampaignRunner(store=str(path), resume=True)
-        assert type(resumed.store) is ResultsStore
         resumed.run_cells(cells)
         assert resumed.last_outcome.resumed == 1
         assert [p.name for p in tmp_path.iterdir()] == ["legacy.jsonl"]
-        assert isinstance(
-            CampaignRunner(store=str(tmp_path / "s.sqlite")).store,
-            CampaignStore,
-        )
+        with open_store(tmp_path / "s.sqlite") as store:
+            assert isinstance(store, CampaignStore)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_resume_on_a_fresh_path_runs_everything(
+        self, tmp_path, backend, campaign_records
+    ):
+        # A first --resume run (or one after a crash before the first
+        # append) finds no store yet: every cell runs, and the file equals
+        # a run without resume.
+        cells, _ = campaign_records
+        plain = tmp_path / f"plain.{_suffix(backend)}"
+        fresh = tmp_path / f"fresh.{_suffix(backend)}"
+        CampaignRunner(store=str(plain)).run_cells(cells)
+        runner = CampaignRunner(store=str(fresh), resume=True)
+        runner.run_cells(cells)
+        assert runner.last_outcome.resumed == 0
+        assert runner.last_outcome.executed == len(cells)
+        if backend == "jsonl":
+            assert fresh.read_bytes() == plain.read_bytes()
+        else:
+            assert [r.to_dict() for r in load_records(fresh)] == \
+                [r.to_dict() for r in load_records(plain)]
 
     def test_default_snapshot_cadence_is_sane(self):
         assert DEFAULT_SNAPSHOT_EVERY >= 1
